@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.operators import edge_operator, replica_major
+from repro.core.operators import EdgeOperator, edge_operator, replica_major
 from repro.core.protocols import CONTINUOUS, DISCRETE, Balancer, register_balancer
 from repro.graphs.dynamic import DynamicNetwork
 from repro.graphs.topology import Topology
@@ -159,6 +159,20 @@ class DiffusionBalancer(Balancer):
         self.dynamic = isinstance(network, DynamicNetwork)
         label = network.name if isinstance(network, Topology) else type(network).__name__
         self.name = f"diffusion[{mode}]@{label}"
+        #: ``(backend, operator)`` of a static network, resolved once per run
+        self._op: tuple[str | None, EdgeOperator] | None = None
+
+    def reset(self) -> None:
+        super().reset()
+        self._op = None
+
+    def __getstate__(self) -> dict:
+        # The cached operator is derived data (scratch buffers, sparse
+        # matrices); shipping it with a pickled balancer would bloat every
+        # payload, so it is rebuilt on demand at the other end.
+        state = self.__dict__.copy()
+        state["_op"] = None
+        return state
 
     def topology_for_round(self, k: int) -> Topology:
         """Graph used in round ``k``."""
@@ -166,24 +180,36 @@ class DiffusionBalancer(Balancer):
             return self.network.topology_at(k)  # type: ignore[union-attr]
         return self.network  # type: ignore[return-value]
 
-    def _round_topology(self, n: int) -> Topology:
-        topo = self.topology_for_round(self.advance_round())
-        if topo.n != n:
-            raise ValueError(f"topology has {topo.n} nodes but loads has {n}")
-        return topo
+    def _round_operator(self, n: int) -> EdgeOperator:
+        """The operator of the round being computed, for ``n``-node loads.
+
+        A static network's operator is looked up once per run and backend
+        (:meth:`reset` drops it), sparing every round the per-topology
+        cache lookup and the backend resolution.
+        """
+        k = self.advance_round()
+        cached = self._op
+        if self.dynamic:
+            op = edge_operator(self.network.topology_at(k), self.backend)  # type: ignore[union-attr]
+        elif cached is not None and cached[0] == self.backend:
+            op = cached[1]
+        else:
+            op = edge_operator(self.network, self.backend)  # type: ignore[arg-type]
+            self._op = (self.backend, op)
+        if op.n != n:
+            raise ValueError(f"topology has {op.n} nodes but loads has {n}")
+        return op
 
     def step(self, loads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         loads = self.validate_loads(loads)
-        topo = self._round_topology(loads.size)
-        op = edge_operator(topo, self.backend)
+        op = self._round_operator(loads.size)
         if self.mode == DISCRETE:
             return op.round_discrete(loads)
         return op.round_continuous(loads)
 
     def step_batch(self, loads: np.ndarray, rngs, out: np.ndarray | None = None) -> np.ndarray:
         """One lockstep round for a node-major ``(n, B)`` replica batch."""
-        topo = self._round_topology(loads.shape[0])
-        op = edge_operator(topo, self.backend)
+        op = self._round_operator(loads.shape[0])
         if self.mode == DISCRETE:
             return op.round_discrete(loads, out)
         return op.round_continuous(loads, out)

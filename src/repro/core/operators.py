@@ -19,7 +19,11 @@ An :class:`EdgeOperator` precomputes, once per
 - a **signed incidence matrix** ``A`` of shape ``(n, m)`` with
   ``A[u_e, e] = -1`` and ``A[v_e, e] = +1``, so applying flows becomes
   the sparse product ``loads + A @ flows`` (an int64 twin keeps the
-  discrete algorithms integer-exact);
+  discrete algorithms integer-exact at any load);
+- its negated transpose, the **edge-difference matrix** ``G`` of shape
+  ``(m, n)`` with ``G[e, u_e] = +1`` and ``G[e, v_e] = -1``, so every
+  per-edge difference ``l_u - l_v`` is the one sparse product
+  ``G @ loads`` (the discrete round's gather);
 - for the *linear* continuous schemes (Algorithm 1 and FOS), the full
   **round matrix** ``M`` with ``M @ loads`` equal to one concurrent
   round, so a round is a single cached sparse matvec — and a whole
@@ -42,15 +46,24 @@ CSR matvec / matmat        ELL fold C kernel prange JIT
 signed incidence scatter   ELL fold C kernel prange JIT
 continuous round           cached M cached M cached M
 discrete round             staged   staged   **fused** (one traversal,
-                                             no ``(m, B)`` temporaries)
+                           gather,  gather,  no ``(m, B)`` temporaries)
+                           scatter  scatter
 FOS / Richardson round     cached M cached M **fused** (no matrix built;
                                              per-round ``alpha`` free)
 availability               always   optional optional (JIT)
 =========================  =======  =======  =======
 
+The staged discrete round (:func:`staged_discrete_round`) is one ``G``
+gather into a single float64 ``(m, B)`` buffer, an in-place reciprocal
+multiply and ``trunc``, one float64 incidence scatter and one truncating
+cast back to int64 — exact for loads below :data:`RECIP_DIV_LIMIT` (the
+argument is in :meth:`EdgeOperator.round_discrete`); at or above it the
+same two products run on int64 twins with an integer floor division.
+
 All backends are **bit-for-bit identical** — the numpy reference fold,
 SciPy's C kernels and the numba JIT loops accumulate each output in the
-same stored order (and the discrete path is pure integer arithmetic), so
+same stored order (and the discrete path computes exact integers, in
+float64 below :data:`RECIP_DIV_LIMIT` and int64 above it), so
 serial, batched and sharded trajectories agree exactly across backends
 (property-tested).  Pick one with ``EdgeOperator(topo, backend=...)``,
 ``Balancer.backend``, engine/CLI ``--backend`` flags, or the
@@ -91,6 +104,8 @@ from repro.graphs.topology import Topology
 __all__ = [
     "EdgeOperator",
     "edge_operator",
+    "floor_divide_int",
+    "staged_discrete_round",
     "truncated_half",
     "HAVE_SCIPY",
 ]
@@ -149,6 +164,7 @@ class EdgeOperator:
         self.denominators_recip = (1.0 / self.denominators) * (1.0 + 2.0**-48)
         self.denominators_recip.setflags(write=False)
         self._incidence_plain: dict[str, PlainCSR] = {}
+        self._gather_plain: dict[str, PlainCSR] = {}
         self._round_plain: PlainCSR | None = None
         self._fos_plain: dict[float, PlainCSR] = {}
         self._linear_pattern = None
@@ -216,6 +232,27 @@ class EdgeOperator:
             A = self._sorted_csr(heads, cols, vals, (self.n, self.m))
             self._incidence_plain[key] = A
         return A
+
+    def gather_csr(self, dtype=np.float64) -> PlainCSR:
+        """Signed edge-difference ``(m, n)``: ``+1`` at ``(e, u)``, ``-1`` at ``(e, v)``.
+
+        ``gather_csr() @ loads`` is every edge's ``l_u - l_v`` in one
+        sparse product (the negated transpose of :meth:`incidence_csr`).
+        """
+        key = np.dtype(dtype).char
+        G = self._gather_plain.get(key)
+        if G is None:
+            ones = np.ones(self.m, dtype=dtype)
+            heads = np.concatenate([np.arange(self.m)] * 2)
+            cols = np.concatenate([self.u, self.v])
+            vals = np.concatenate([ones, -ones])
+            G = self._sorted_csr(heads, cols, vals, (self.m, self.n))
+            self._gather_plain[key] = G
+        return G
+
+    def discrete_csrs(self, dtype) -> tuple[PlainCSR, PlainCSR]:
+        """The staged discrete round's ``(gather, incidence)`` pair in ``dtype``."""
+        return self.gather_csr(dtype), self.incidence_csr(dtype)
 
     def round_csr(self) -> PlainCSR:
         """Algorithm 1's continuous round matrix as a backend-neutral CSR.
@@ -426,30 +463,19 @@ class EdgeOperator:
         ``diff`` is ``(m,)`` or node-major-aligned ``(m, B)``; ``out`` may
         alias ``diff``.  Uses the cached biased reciprocals (exact, see
         :attr:`denominators_recip`) when ``|diff|`` is provably below
-        :data:`RECIP_DIV_LIMIT`, else the plain int64 floor division.
+        :data:`RECIP_DIV_LIMIT`, else :func:`floor_divide_int`.
         ``bound`` lets callers supply a known cheap bound on ``|diff|``
         (e.g. ``loads.max()`` for non-negative loads); without it one
-        abs-max reduction pass decides the path.
+        max/min reduction pair decides the path.
         """
         if diff.size == 0:
             return out
         if bound is None:
-            mag = self.scratch("disc-mag", diff.shape, np.int64)
-            np.abs(diff, out=mag)
-            bound = int(mag.max())
+            bound = max(int(diff.max()), -int(diff.min()))
         if bound < RECIP_DIV_LIMIT:
             recip = self.denominators_recip if diff.ndim == 1 else self.denominators_recip[:, None]
-            qf = self.scratch("disc-qf", diff.shape, np.float64)
-            np.multiply(diff, recip, out=qf)
-            np.copyto(out, qf, casting="unsafe")  # trunc toward zero
-            return out
-        denom = self.denominators_int if diff.ndim == 1 else self.denominators_int[:, None]
-        mag = self.scratch("disc-mag", diff.shape, np.int64)
-        np.abs(diff, out=mag)
-        np.floor_divide(mag, denom, out=mag)
-        sgn = np.sign(diff)
-        np.multiply(sgn, mag, out=out)
-        return out
+            return np.multiply(diff, recip, out=out, casting="unsafe")  # trunc toward zero
+        return floor_divide_int(diff, self.denominators_int, out)
 
     def round_discrete(self, loads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One discrete Algorithm-1 round; int64 in, int64 out, exact.
@@ -457,15 +483,42 @@ class EdgeOperator:
         Backends with a fused kernel (numba) run the whole round —
         adjacency gather, reciprocal floor-divide, signed scatter — as a
         single node-parallel traversal with no ``(m, B)`` intermediates.
-        The staged reference path gathers diffs and flow arithmetic in
-        reusable scratch buffers — allocation-free in steady state.
-        Either way the values are identical to the serial expressions
-        (integer arithmetic; the reciprocal floor-division fast path is
-        bit-exact).
+        The other backends run :func:`staged_discrete_round`: below
+        :data:`RECIP_DIV_LIMIT` it copies the loads into float64 once,
+        computes every edge difference with one :meth:`gather_csr`
+        product, multiplies by :attr:`denominators_recip` and truncates
+        in place, scatters through the float64 :meth:`incidence_csr`,
+        and this method casts the result back into int64 ``out`` — all
+        in reusable scratch, allocation-free in steady state.
+
+        Why the float64 path is exact.  ``bound = max(l, 0) - min(l, 0)``
+        bounds every ``|l_i|`` and every ``|l_u - l_v|``, and the path
+        runs only when ``bound < 2**46``:
+
+        - the float64 copy holds every load exactly (``2**46 < 2**53``);
+        - each gather row folds ``0 + l_u - l_v`` (in stored order):
+          every partial is an integer below ``2**46``, so the difference
+          is exact — the same float64 value the int64 subtraction would
+          convert to;
+        - multiplying by the biased reciprocal and truncating is then the
+          very operation the int64 formulation performs
+          (``float(diff) * recip`` and a truncating cast), bit for bit,
+          and exact by the :attr:`denominators_recip` argument;
+        - node ``i``'s ``d_i`` incident edges each damp by at least
+          ``4 d_i``, so its flows sum below ``bound / 4 < 2**44``: every
+          partial sum of the scatter fold stays an integer below
+          ``2**44``, and adding the load stays below
+          ``2**46 + 2**44 < 2**53`` at any degree.
+
+        So every intermediate is an exactly represented integer and the
+        final truncating cast is exact.  At or above the limit the same
+        gather and scatter run on int64 twins of the two matrices with
+        :func:`floor_divide_int`.  Either way the values are identical
+        to the serial integer expressions.
         """
         # The fused kernels read neighbour values while writing out, so an
-        # aliased buffer would corrupt silently — reject it loudly here,
-        # matching the staged path's apply_flows guard.
+        # aliased buffer would corrupt silently — reject it loudly on every
+        # backend alike.
         if out is loads and out is not None:
             raise ValueError("out must not alias the input vector")
         # max - min bounds every |l_u - l_v| (the engines only pass
@@ -480,17 +533,12 @@ class EdgeOperator:
         )
         if fused is not None:
             return fused
-        if loads.ndim == 1:
-            diff = self.differences(loads)
-            flows = self.floor_divide_denominators(diff, diff, bound)
-            return self.apply_flows(loads, flows, out)
-        shape = (self.m, loads.shape[1])
-        diff = self.scratch("disc-diff", shape, np.int64)
-        tmp = self.scratch("disc-tmp", shape, np.int64)
-        np.take(loads, self.u, axis=0, out=diff)
-        np.take(loads, self.v, axis=0, out=tmp)
-        np.subtract(diff, tmp, out=diff)
-        return self.apply_flows(loads, self.floor_divide_denominators(diff, tmp, bound), out)
+        new = staged_discrete_round(
+            self.kernels, self.discrete_csrs, self.denominators_recip,
+            self.denominators_int, loads, slice(None), bound, self.scratch,
+        )
+        np.copyto(out, new, casting="unsafe")  # exact integers: the cast is exact
+        return out
 
 
 def edge_operator(topo: Topology, backend: str | None = None) -> EdgeOperator:
@@ -502,23 +550,87 @@ def edge_operator(topo: Topology, backend: str | None = None) -> EdgeOperator:
     return EdgeOperator.for_topology(topo, backend)
 
 
+def floor_divide_int(diff: np.ndarray, den_int: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sign(diff) * (|diff| // den_int)`` in exact int64 arithmetic.
+
+    The discrete kernels' division at or above :data:`RECIP_DIV_LIMIT`.
+    ``den_int`` holds one denominator per edge, ``(m,)``, broadcast over
+    a node-major ``(m, B)`` batch; ``out`` may alias ``diff``.
+    """
+    den = den_int if diff.ndim == 1 else den_int[:, None]
+    mag = np.abs(diff)
+    np.floor_divide(mag, den, out=mag)
+    np.multiply(np.sign(diff), mag, out=out)
+    return out
+
+
+def staged_discrete_round(
+    kernels: KernelBackend,
+    csrs,
+    recip: np.ndarray,
+    den_int: np.ndarray,
+    loads: np.ndarray,
+    rows,
+    bound: int,
+    scratch,
+) -> np.ndarray:
+    """One staged discrete Algorithm-1 round over one edge set.
+
+    ``csrs(dtype)`` returns the edge set's ``(gather, incidence)`` pair:
+    the ``(k, n)`` signed edge-difference matrix over the columns of
+    ``loads`` and the ``(r, k)`` signed incidence onto the output rows;
+    ``recip``/``den_int`` are the ``k`` edges' biased reciprocals and
+    int64 denominators.  ``loads`` is int64 ``(n,)`` or node-major
+    ``(n, B)``; ``rows`` (a slice or an index array) selects the ``r``
+    rows of ``loads`` the flows land on.  ``bound`` bounds every
+    ``|l_i|``; below :data:`RECIP_DIV_LIMIT` the round runs in float64
+    (exact, see :meth:`EdgeOperator.round_discrete`), else in int64.
+    ``scratch(key, shape, dtype)`` supplies the work buffers.
+
+    Returns the ``(r,)``/``(r, B)`` next loads, scratch-backed: float64
+    holding exact integers on the float64 path, int64 on the fallback.
+    Callers finish with one truncating cast into their own int64 buffer.
+    """
+    tail = loads.shape[1:]
+    if bound < RECIP_DIV_LIMIT:
+        gather, incidence = csrs(np.float64)
+        src = scratch("disc-loads", loads.shape, np.float64)
+        np.copyto(src, loads)
+        flows = scratch("disc-flows", (gather.shape[0],) + tail, np.float64)
+        kernels.matvec(gather, src, flows)
+        np.multiply(flows, recip if flows.ndim == 1 else recip[:, None], out=flows)
+        np.trunc(flows, out=flows)
+    else:
+        gather, incidence = csrs(np.int64)
+        src = loads
+        flows = scratch("disc-flows", (gather.shape[0],) + tail, np.int64)
+        kernels.matvec(gather, src, flows)
+        floor_divide_int(flows, den_int, flows)
+    if isinstance(rows, slice):
+        base = src[rows]
+    else:
+        base = np.take(src, rows, axis=0, out=scratch("disc-base", rows.shape + tail, src.dtype))
+    new = scratch("disc-new", (incidence.shape[0],) + tail, src.dtype)
+    return kernels.add_matvec(incidence, base, flows, new)
+
+
 def truncated_half(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``sign(diff) * (|diff| // 2)`` for int64 ``diff`` — the half-surplus
     a dimension-exchange pair ships.
 
     Reuses the discrete kernels' fused-divide trick: ``diff * 0.5`` is an
     exact power-of-two scaling whenever ``diff`` converts to float64
-    exactly (``|diff| < 2**52``), so a single multiply + truncating cast
-    replaces the abs/floor-divide/sign/multiply pass chain.  Larger
-    magnitudes take the exact integer path.
+    exactly (``|diff| < 2**52``), so a single multiply with a truncating
+    output cast replaces the abs/floor-divide/sign/multiply pass chain.
+    A max/min reduction pair bounds ``|diff|``; larger magnitudes take
+    the exact integer path.
     """
     if out is None:
         out = np.empty_like(diff)
     if diff.size == 0:
         return out
-    if int(np.abs(diff).max()) < _HALF_EXACT_LIMIT:
-        np.copyto(out, diff * 0.5, casting="unsafe")  # trunc toward zero
-        return out
+    if max(int(diff.max()), -int(diff.min())) < _HALF_EXACT_LIMIT:
+        return np.multiply(diff, 0.5, out=out, casting="unsafe")  # trunc toward zero
     mag = np.abs(diff) // 2
     np.multiply(np.sign(diff), mag, out=out)
     return out

@@ -24,8 +24,10 @@ index space — and runs them through the *same*
 :class:`~repro.core.backends.KernelBackend` kernels (numpy / scipy /
 numba per block).  A CSR row's entries accumulate in stored order on
 every backend, so the block's fold for node ``i`` is the global fold
-bit for bit; the discrete round is pure integer arithmetic on per-edge
-quantities computed from the same endpoint values.  The property tests
+bit for bit; the discrete round computes exact integers (float64 below
+``RECIP_DIV_LIMIT``, int64 above it) on per-edge quantities from the
+same endpoint values, through row slices of the same gather and
+incidence matrices.  The property tests
 assert this for P ∈ {2, 4, 7}, both partition strategies, and
 dynamic-edge-failure topologies whose cut set changes between rounds.
 
@@ -74,7 +76,7 @@ import numpy as np
 
 from repro.core.backends import PlainCSR, resolve_backend
 from repro.observability.recorder import get_recorder
-from repro.core.operators import RECIP_DIV_LIMIT, EdgeOperator, edge_operator
+from repro.core.operators import EdgeOperator, edge_operator, staged_discrete_round
 from repro.core.protocols import Balancer
 from repro.distributed.transport import TransportError, make_pair
 from repro.distributed.worker import run_block_loop
@@ -207,11 +209,11 @@ class BlockLocal:
         self.denominators_recip = np.ascontiguousarray(op.denominators_recip[self.edge_ids])
         self._round_rows: PlainCSR | None = None
         self._fos_rows: dict[float, PlainCSR] = {}
-        self._incidence_rows: PlainCSR | None = None
         self._scratch: dict[tuple, np.ndarray] = {}
         # Split-phase caches: per row-subset operator slices (lazy).
         self._sub_matvec: dict[tuple, PlainCSR] = {}
-        self._sub_discrete: dict[str, tuple] = {}
+        self._sub_discrete: dict[str | None, tuple] = {}
+        self._sub_discrete_csrs: dict[tuple, tuple[PlainCSR, PlainCSR]] = {}
 
     def _get_scratch(self, key: str, shape: tuple, dtype) -> np.ndarray:
         full = (key, shape, np.dtype(dtype).char)
@@ -241,21 +243,6 @@ class BlockLocal:
             )
         return M
 
-    def incidence_rows(self) -> PlainCSR:
-        """This block's rows of the signed int64 incidence matrix, with
-        columns renumbered to block-local edge positions."""
-        if self._incidence_rows is None:
-            ecolmap = np.full(self.op.m, -1, dtype=np.int64)
-            ecolmap[self.edge_ids] = np.arange(self.edge_ids.size, dtype=np.int64)
-            self._incidence_rows = _slice_csr_rows(
-                self.op.incidence_csr(np.int64),
-                self.owned,
-                ecolmap,
-                self.edge_ids.size,
-                self.op.idx_dtype,
-            )
-        return self._incidence_rows
-
     # ------------------------------------------------------------------
     # Row-subset plumbing (split-phase interior/boundary execution)
     # ------------------------------------------------------------------
@@ -275,6 +262,12 @@ class BlockLocal:
             return (0, 0)
         a, b = int(pos[0]), int(pos[-1]) + 1
         return (a, b) if b - a == pos.size else None
+
+    @classmethod
+    def _as_slice(cls, pos: np.ndarray) -> slice | np.ndarray:
+        """``pos`` as the equivalent slice when it is one contiguous range."""
+        rng = cls._contiguous_range(pos)
+        return pos if rng is None else slice(*rng)
 
     def _subset_matvec_csr(self, kind: str, rows: str, alpha: float | None = None) -> PlainCSR:
         """Row slice of a round matrix restricted to one owned-row subset.
@@ -306,42 +299,80 @@ class BlockLocal:
             out[pos] = buf
         return out
 
-    def _discrete_subset(self, rows: str) -> tuple:
-        """Edge/incidence structure restricted to one owned-row subset.
+    def _discrete_subset(self, rows: str | None) -> tuple:
+        """What one owned-row subset's discrete round reads (None: all owned).
 
-        The subset's incident edges (ascending global edge id, the full
-        fold order) plus the matching incidence row slice with columns
-        renumbered to subset-edge positions.  ``owned_only`` records
-        whether every endpoint is an owned node — true for the interior
-        subset by construction, which is what lets the interior phase
-        run on stale ghost values.
+        Returns ``(reads, lands, dest, epos, recip, den_int)``.  ``reads`` picks
+        the extended rows the round reads — its own rows and the
+        endpoints of its incident edges: ``slice(0, k)`` when they fill
+        most of that prefix, else their index array, own rows first
+        (gathered compactly, so the small boundary subset does not
+        convert the whole slab).
+        ``lands`` locates the subset's rows within the read rows and
+        ``dest`` within the owned rows (each a slice when contiguous).
+        ``epos`` holds the incident edges' positions in
+        :attr:`edge_ids` (ascending global edge id, the full fold order),
+        with their biased reciprocals and int64 denominators.  The
+        interior subset's edges have owned-only endpoints, so its reads
+        never reach the ghost segment — which is what lets the interior
+        phase run on stale ghost values.
         """
         cached = self._sub_discrete.get(rows)
         if cached is None:
-            pos = self._rows_positions(rows)
-            member = np.zeros(self.n_ext, dtype=bool)
-            member[pos] = True
-            epos = np.flatnonzero(member[self.u_loc] | member[self.v_loc])
-            u_sub = np.ascontiguousarray(self.u_loc[epos])
-            v_sub = np.ascontiguousarray(self.v_loc[epos])
-            den_int = np.ascontiguousarray(self.denominators_int[epos])
-            den_recip = np.ascontiguousarray(self.denominators_recip[epos])
-            owned_only = bool(
-                (u_sub < self.n_owned).all() and (v_sub < self.n_owned).all()
-            )
-            ecolmap = np.full(self.op.m, -1, dtype=np.int64)
-            ecolmap[self.edge_ids[epos]] = np.arange(epos.size, dtype=np.int64)
-            inc = _slice_csr_rows(
-                self.op.incidence_csr(np.int64),
-                self.owned[pos],
-                ecolmap,
-                epos.size,
-                self.op.idx_dtype,
-            )
+            if rows is None:
+                pos = np.arange(self.n_owned)
+                epos = np.arange(self.edge_ids.size)
+            else:
+                pos = self._rows_positions(rows)
+                member = np.zeros(self.n_ext, dtype=bool)
+                member[pos] = True
+                epos = np.flatnonzero(member[self.u_loc] | member[self.v_loc])
+            read = np.zeros(self.n_ext, dtype=bool)
+            read[pos] = read[self.u_loc[epos]] = read[self.v_loc[epos]] = True
+            cols = np.flatnonzero(read)
+            k = int(cols[-1]) + 1 if cols.size else 0
+            if 2 * cols.size >= k:
+                reads, local = slice(0, k), pos
+            else:  # own rows first, so they land on one contiguous range
+                reads = np.concatenate([pos, np.setdiff1d(cols, pos, assume_unique=True)])
+                local = np.arange(pos.size)
             cached = self._sub_discrete[rows] = (
-                epos, u_sub, v_sub, den_int, den_recip, inc, owned_only
+                reads,
+                self._as_slice(local),
+                self._as_slice(pos),
+                epos,
+                np.ascontiguousarray(self.denominators_recip[epos]),
+                np.ascontiguousarray(self.denominators_int[epos]),
             )
         return cached
+
+    def _discrete_csrs(self, rows: str | None, dtype) -> tuple[PlainCSR, PlainCSR]:
+        """The subset's rows of the global gather and incidence matrices.
+
+        Gather rows are the subset's edges with columns relabelled to
+        positions among the read rows; incidence rows are the subset's
+        owned rows with columns relabelled to subset-edge positions.
+        Pure relabelings of the global matrices, so stored order and
+        values are the global ones.
+        """
+        key = (rows, np.dtype(dtype).char)
+        pair = self._sub_discrete_csrs.get(key)
+        if pair is None:
+            reads, _, _, epos, _, _ = self._discrete_subset(rows)
+            cols = np.arange(reads.stop) if isinstance(reads, slice) else reads
+            read_pos = np.full(self.n_ext + 1, -1, dtype=np.int64)  # [-1] catches unmapped
+            read_pos[cols] = np.arange(cols.size, dtype=np.int64)
+            owned = self.owned if rows is None else self.owned[self._rows_positions(rows)]
+            eids = self.edge_ids[epos]
+            ecolmap = np.full(self.op.m, -1, dtype=np.int64)
+            ecolmap[eids] = np.arange(epos.size, dtype=np.int64)
+            idx = self.op.idx_dtype
+            pair = self._sub_discrete_csrs[key] = (
+                _slice_csr_rows(self.op.gather_csr(dtype), eids, read_pos[self._colmap],
+                                cols.size, idx),
+                _slice_csr_rows(self.op.incidence_csr(dtype), owned, ecolmap, epos.size, idx),
+            )
+        return pair
 
     # ------------------------------------------------------------------
     # Round kernels (extended loads in, owned loads out)
@@ -380,81 +411,38 @@ class BlockLocal:
     ) -> np.ndarray:
         """One discrete Algorithm-1 round on this block (int64, exact).
 
-        Per-edge flows over the block's incident edges (same gather /
-        biased-reciprocal floor-divide / signed scatter as the global
-        kernel), folded onto owned nodes through the incidence row
-        slice.  Integer arithmetic end to end, so the owned results
-        equal the global round's rows exactly.  With ``rows``, only the
-        subset's incident edges and incidence rows participate; the
-        interior subset's edges have owned-only endpoints, so its
-        magnitude bound (which merely *selects* between two exact
-        division paths) is taken over the owned region alone and never
-        reads a ghost value.
+        The global kernel's :func:`~repro.core.operators.staged_discrete_round`
+        over the block's incident edges, through row slices of the
+        global gather and incidence matrices, so the owned results equal
+        the global round's rows exactly.  With ``rows``, only the
+        subset's incident edges and incidence rows participate, and the
+        round reads — and takes its magnitude bound (which merely
+        *selects* between two exact arithmetic paths) over — only the
+        rows those edges touch: for the interior subset, owned rows
+        alone, never a ghost value.
         """
-        if rows is None:
-            shape = (self.edge_ids.size,) + ext.shape[1:]
-            diff = self._get_scratch("diff", shape, np.int64)
-            tmp = self._get_scratch("tmp", shape, np.int64)
-            np.take(ext, self.u_loc, axis=0, out=diff)
-            np.take(ext, self.v_loc, axis=0, out=tmp)
-            np.subtract(diff, tmp, out=diff)
-            bound = int(ext.max(initial=0)) - min(int(ext.min(initial=0)), 0)
-            flows = self._floor_divide(
-                diff, tmp, bound, self.denominators_int, self.denominators_recip
-            )
-            out = self._out(ext, out, dtype=np.int64)
-            return self.op.kernels.add_matvec(
-                self.incidence_rows(), ext[: self.n_owned], flows, out
-            )
-        epos, u_sub, v_sub, den_int, den_recip, inc, owned_only = self._discrete_subset(rows)
-        pos = self._rows_positions(rows)
-        shape = (epos.size,) + ext.shape[1:]
-        diff = self._get_scratch("diff_" + rows, shape, np.int64)
-        tmp = self._get_scratch("tmp_" + rows, shape, np.int64)
-        np.take(ext, u_sub, axis=0, out=diff)
-        np.take(ext, v_sub, axis=0, out=tmp)
-        np.subtract(diff, tmp, out=diff)
-        region = ext[: self.n_owned] if owned_only else ext
-        bound = int(region.max(initial=0)) - min(int(region.min(initial=0)), 0)
-        flows = self._floor_divide(diff, tmp, bound, den_int, den_recip)
-        out = self._out(ext, out, dtype=np.int64)
-        rng = self._contiguous_range(pos)
-        if rng is not None:
-            a, b = rng
-            self.op.kernels.add_matvec(inc, ext[a:b], flows, out[a:b])
+        reads, lands, dest, _, recip, den_int = self._discrete_subset(rows)
+        if isinstance(reads, slice):
+            src = ext[reads]
         else:
-            base = self._get_scratch("base_" + rows, (pos.size,) + ext.shape[1:], np.int64)
-            np.take(ext, pos, axis=0, out=base)
-            buf = self._get_scratch("dsc_" + rows, (pos.size,) + ext.shape[1:], np.int64)
-            self.op.kernels.add_matvec(inc, base, flows, buf)
-            out[pos] = buf
-        return out
-
-    def _floor_divide(
-        self,
-        diff: np.ndarray,
-        out: np.ndarray,
-        bound: int,
-        den_int: np.ndarray,
-        den_recip: np.ndarray,
-    ) -> np.ndarray:
-        """``sign(diff) * (|diff| // denominators)`` over the given edges
-        (the block-local clone of ``EdgeOperator.floor_divide_denominators``).
-        Both paths are exact, so the ``bound`` threshold only picks the
-        cheaper one — never the result."""
-        if diff.size == 0:
-            return out
-        if bound < RECIP_DIV_LIMIT:
-            recip = den_recip if diff.ndim == 1 else den_recip[:, None]
-            qf = self._get_scratch("qf", diff.shape, np.float64)
-            np.multiply(diff, recip, out=qf)
-            np.copyto(out, qf, casting="unsafe")  # trunc toward zero
-            return out
-        denom = den_int if diff.ndim == 1 else den_int[:, None]
-        mag = self._get_scratch("mag", diff.shape, np.int64)
-        np.abs(diff, out=mag)
-        np.floor_divide(mag, denom, out=mag)
-        np.multiply(np.sign(diff), mag, out=out)
+            buf = self._get_scratch("disc-reads", reads.shape + ext.shape[1:], ext.dtype)
+            src = np.take(ext, reads, axis=0, out=buf)
+        bound = int(src.max(initial=0)) - min(int(src.min(initial=0)), 0)
+        new = staged_discrete_round(
+            self.op.kernels,
+            lambda dtype: self._discrete_csrs(rows, dtype),
+            recip,
+            den_int,
+            src,
+            lands,
+            bound,
+            self._get_scratch,
+        )
+        out = self._out(ext, out, dtype=np.int64)
+        if isinstance(dest, slice):
+            np.copyto(out[dest], new, casting="unsafe")  # exact integers: exact cast
+        else:
+            out[dest] = new
         return out
 
 

@@ -179,3 +179,152 @@ class TestReciprocalFloorDivision:
         op = edge_operator(torus)
         with pytest.raises(ValueError):
             op.denominators_recip[0] = 1.0
+
+
+def _staged_backends():
+    from repro.core.backends import available_backends
+
+    return [b for b in ("numpy", "scipy") if b in available_backends()]
+
+
+def _int64_reference(loads, topo):
+    """One round through the pure-int64 flows + int64 incidence scatter."""
+    from repro.core.diffusion import apply_edge_flows, diffusion_flows
+
+    return apply_edge_flows(loads, topo, diffusion_flows(loads, topo, discrete=True),
+                            backend="numpy")
+
+
+class TestFloat64StagedRound:
+    """The staged discrete round runs in float64 below RECIP_DIV_LIMIT and
+    must equal the int64 reference exactly, right up to the limit, at any
+    degree, on exact multiples of the damping and on negative loads."""
+
+    @staticmethod
+    def _topologies():
+        # complete(50) and star(104) damp by 196 and 412: divisors whose
+        # *unbiased* reciprocal truncates many exact multiples one short.
+        return [g.complete(64), g.complete(50), g.star(104), g.star(257)]
+
+    @staticmethod
+    def _check(topo, loads):
+        want = _int64_reference(loads, topo)
+        for name in _staged_backends():
+            op = EdgeOperator(topo, name)
+            if loads.ndim == 1:
+                got = op.round_discrete(loads)
+            else:
+                got = op.round_discrete(np.ascontiguousarray(loads.T)).T
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), name
+            assert got.sum() == loads.sum()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_loads_at_limit_minus_one(self, batched, rng):
+        from repro.core.operators import RECIP_DIV_LIMIT
+
+        top = RECIP_DIV_LIMIT - 1
+        for topo in self._topologies():
+            shape = (5, topo.n) if batched else (topo.n,)
+            loads = rng.integers(0, 2, shape).astype(np.int64) * top
+            loads[..., 0] = 0  # hub of the star / one clique node: worst inflow
+            loads[..., 1] = top
+            self._check(topo, loads)
+
+    def test_star_hub_inflow_is_worst_case(self):
+        """Every leaf at the limit, hub empty: the hub's scatter fold sums
+        n - 1 maximal flows, the largest partial sum any graph reaches."""
+        from repro.core.operators import RECIP_DIV_LIMIT
+
+        topo = g.star(257)
+        loads = np.full(topo.n, RECIP_DIV_LIMIT - 1, dtype=np.int64)
+        loads[0] = 0
+        self._check(topo, loads)
+        self._check(topo, np.stack([loads, loads[::-1].copy()]))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_differences_at_exact_multiples_of_damping(self, batched, rng):
+        from repro.core.operators import RECIP_DIV_LIMIT
+
+        for topo in self._topologies():
+            den = 4 * topo.max_degree  # regular clique / star: one damping value
+            kmax = (RECIP_DIV_LIMIT - 2) // den
+            shape = (4, topo.n) if batched else (topo.n,)
+            k = rng.integers(0, kmax, shape)
+            off = rng.integers(-1, 2, shape)
+            loads = (k * den + off).clip(0, RECIP_DIV_LIMIT - 1).astype(np.int64)
+            loads[..., :3] = [0, kmax * den, den]
+            self._check(topo, loads)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_negative_loads(self, batched, rng):
+        from repro.core.operators import RECIP_DIV_LIMIT
+
+        half = RECIP_DIV_LIMIT // 2
+        for topo in self._topologies():
+            shape = (3, topo.n) if batched else (topo.n,)
+            # max - min = RECIP_DIV_LIMIT - 1: the float64 path, at its edge
+            loads = rng.integers(-(half - 1), half, shape).astype(np.int64)
+            loads[..., 0], loads[..., 1] = -(half - 1), half
+            self._check(topo, loads)
+            # one past it: the int64 fallback
+            loads[..., 1] = half + 1
+            self._check(topo, loads)
+
+    def test_float64_path_below_limit_int64_path_at_limit(self):
+        """Which arithmetic ran is visible in the scratch the round used."""
+        from repro.core.operators import RECIP_DIV_LIMIT
+
+        topo = g.complete(16)
+        for name in _staged_backends():
+            for top, dtype in ((RECIP_DIV_LIMIT - 1, np.float64), (RECIP_DIV_LIMIT, np.int64)):
+                op = EdgeOperator(topo, name)
+                loads = np.zeros(topo.n, dtype=np.int64)
+                loads[3] = top
+                assert np.array_equal(op.round_discrete(loads), _int64_reference(loads, topo))
+                chars = {key[2] for key in op._scratch if key[0] == "disc-flows"}
+                assert chars == {np.dtype(dtype).char}, (name, top)
+
+
+class TestGatherCSR:
+    def test_is_negated_incidence_transpose(self, any_topology):
+        op = edge_operator(any_topology)
+        G, A = op.gather_csr(), op.incidence_csr()
+        dense_g = np.zeros(G.shape)
+        for e in range(G.shape[0]):
+            cols = G.indices[G.indptr[e] : G.indptr[e + 1]]
+            dense_g[e, cols] = G.data[G.indptr[e] : G.indptr[e + 1]]
+        dense_a = np.zeros(A.shape)
+        for i in range(A.shape[0]):
+            dense_a[i, A.indices[A.indptr[i] : A.indptr[i + 1]]] = A.data[A.indptr[i] : A.indptr[i + 1]]
+        assert np.array_equal(dense_g, -dense_a.T)
+        # stored order: ascending column within each row
+        for e in range(G.shape[0]):
+            assert np.all(np.diff(G.indices[G.indptr[e] : G.indptr[e + 1]]) > 0)
+
+    def test_cached_per_dtype(self, torus):
+        op = edge_operator(torus)
+        assert op.gather_csr() is op.gather_csr(np.float64)
+        assert op.gather_csr(np.int64) is not op.gather_csr()
+        assert op.gather_csr(np.int64).data.dtype == np.int64
+
+    def test_numpy_and_scipy_backends_agree(self, any_topology, rng):
+        backends = _staged_backends()
+        if len(backends) < 2:
+            pytest.skip("SciPy unavailable")
+        ops = [EdgeOperator(any_topology, name) for name in backends]
+        G = [op.gather_csr() for op in ops]
+        for arr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(G[0], arr), getattr(G[1], arr))
+        for x in (rng.integers(0, 1 << 45, any_topology.n),
+                  rng.integers(-(1 << 44), 1 << 44, (any_topology.n, 5))):
+            xf = x.astype(np.float64)
+            outs = [op.kernels.matvec(Gi, xf, np.empty((any_topology.m,) + x.shape[1:]))
+                    for op, Gi in zip(ops, G)]
+            want = x[any_topology.edges[:, 0]] - x[any_topology.edges[:, 1]]
+            assert np.array_equal(outs[0], outs[1])
+            assert np.array_equal(outs[0], want.astype(np.float64))
+            got_int = [op.kernels.matvec(op.gather_csr(np.int64), x,
+                                         np.empty((any_topology.m,) + x.shape[1:], np.int64))
+                       for op in ops]
+            assert np.array_equal(got_int[0], want) and np.array_equal(got_int[1], want)

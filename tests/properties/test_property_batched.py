@@ -376,7 +376,7 @@ class TestBackendParity:
         topo = g.torus_2d(4, 4)
         ops = [edge_operator(topo, name) for name in self._forced_backends(monkeypatch)]
         ops.append(edge_operator(topo, "numpy"))
-        bufs = [op.scratch("disc-diff", (topo.m, B), np.int64) for op in ops]
+        bufs = [op.scratch("disc-flows", (topo.m, B), np.float64) for op in ops]
         for i in range(len(bufs)):
             for j in range(i + 1, len(bufs)):
                 assert not np.shares_memory(bufs[i], bufs[j])

@@ -7,6 +7,8 @@ discrete), FOS, P in {2, 4, 7}, both partition strategies, and dynamic
 topologies whose cut set changes between rounds.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -463,6 +465,45 @@ class TestSplitPhaseKernels:
         bal.block_step(loc, trashed, out=dirty, rows="interior")
         assert loc.interior.size > 0
         assert np.array_equal(clean[loc.interior], dirty[loc.interior])
+
+    @pytest.mark.parametrize("side", [7, 24])
+    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+    @pytest.mark.parametrize("P", [2, 3])
+    def test_discrete_block_rounds_equal_global_round(self, side, strategy, P):
+        """Full and interior/boundary block rounds equal the global round's
+        rows on both arithmetic paths: float64 right below the limit
+        (negative loads included), int64 at and above it.  On the larger
+        torus, two contiguous blocks' boundary subsets read a compact
+        gathered row set."""
+        from repro.core.backends import available_backends
+        from repro.core.operators import RECIP_DIV_LIMIT, edge_operator
+
+        backends = [b for b in ("numpy", "scipy") if b in available_backends()]
+        topo = torus_2d(side, side - 1)
+        part = make_partition(topo, P, strategy)
+        if (side, strategy, P) == (24, "contiguous", 2):
+            reads = [block_local(part, p)._discrete_subset("boundary")[0] for p in range(P)]
+            assert any(isinstance(r, np.ndarray) for r in reads)
+        rng = np.random.default_rng(13)
+        half = RECIP_DIV_LIMIT // 2
+        cases = [
+            rng.integers(0, 2, (topo.n, 3)) * (RECIP_DIV_LIMIT - 1),
+            rng.integers(-(half - 1), half, (topo.n, 3)),
+            rng.integers(0, 4 * RECIP_DIV_LIMIT, (topo.n, 3)),
+        ]
+        for L in cases:
+            L = np.ascontiguousarray(L, dtype=np.int64)
+            want = edge_operator(topo).round_discrete(L)
+            for p, backend in itertools.product(range(P), backends):
+                loc = block_local(part, p, backend)
+                ext = L[loc.ext_ids]
+                assert np.array_equal(loc.round_discrete(ext), want[loc.owned]), p
+                split = np.full((loc.n_owned, 3), -1, dtype=np.int64)
+                loc.round_discrete(ext, out=split, rows="interior")
+                loc.round_discrete(ext, out=split, rows="boundary")
+                assert np.array_equal(split, want[loc.owned]), p
+                serial = loc.round_discrete(ext[:, 0].copy())
+                assert np.array_equal(serial, want[loc.owned, 0]), p
 
     def test_ghosts_grouped_by_owner(self):
         """BlockLocal reorders its private ghost segment grouped by owning
