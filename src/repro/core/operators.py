@@ -466,15 +466,20 @@ class EdgeOperator:
         :data:`RECIP_DIV_LIMIT`, else :func:`floor_divide_int`.
         ``bound`` lets callers supply a known cheap bound on ``|diff|``
         (e.g. ``loads.max()`` for non-negative loads); without it one
-        max/min reduction pair decides the path.
+        abs-max reduction pass decides the path.
         """
         if diff.size == 0:
             return out
         if bound is None:
-            bound = max(int(diff.max()), -int(diff.min()))
+            mag = self.scratch("disc-mag", diff.shape, np.int64)
+            np.abs(diff, out=mag)
+            bound = int(mag.max())
         if bound < RECIP_DIV_LIMIT:
             recip = self.denominators_recip if diff.ndim == 1 else self.denominators_recip[:, None]
-            return np.multiply(diff, recip, out=out, casting="unsafe")  # trunc toward zero
+            qf = self.scratch("disc-qf", diff.shape, np.float64)
+            np.multiply(diff, recip, out=qf)
+            np.copyto(out, qf, casting="unsafe")  # trunc toward zero
+            return out
         return floor_divide_int(diff, self.denominators_int, out)
 
     def round_discrete(self, loads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -535,7 +540,7 @@ class EdgeOperator:
             return fused
         new = staged_discrete_round(
             self.kernels, self.discrete_csrs, self.denominators_recip,
-            self.denominators_int, loads, slice(None), bound, self.scratch,
+            self.denominators_int, loads, bound, self.scratch,
         )
         np.copyto(out, new, casting="unsafe")  # exact integers: the cast is exact
         return out
@@ -570,7 +575,6 @@ def staged_discrete_round(
     recip: np.ndarray,
     den_int: np.ndarray,
     loads: np.ndarray,
-    rows,
     bound: int,
     scratch,
 ) -> np.ndarray:
@@ -581,8 +585,7 @@ def staged_discrete_round(
     ``loads`` and the ``(r, k)`` signed incidence onto the output rows;
     ``recip``/``den_int`` are the ``k`` edges' biased reciprocals and
     int64 denominators.  ``loads`` is int64 ``(n,)`` or node-major
-    ``(n, B)``; ``rows`` (a slice or an index array) selects the ``r``
-    rows of ``loads`` the flows land on.  ``bound`` bounds every
+    ``(n, B)``; the flows land on its first ``r`` rows.  ``bound`` bounds every
     ``|l_i|``; below :data:`RECIP_DIV_LIMIT` the round runs in float64
     (exact, see :meth:`EdgeOperator.round_discrete`), else in int64.
     ``scratch(key, shape, dtype)`` supplies the work buffers.
@@ -606,12 +609,9 @@ def staged_discrete_round(
         flows = scratch("disc-flows", (gather.shape[0],) + tail, np.int64)
         kernels.matvec(gather, src, flows)
         floor_divide_int(flows, den_int, flows)
-    if isinstance(rows, slice):
-        base = src[rows]
-    else:
-        base = np.take(src, rows, axis=0, out=scratch("disc-base", rows.shape + tail, src.dtype))
-    new = scratch("disc-new", (incidence.shape[0],) + tail, src.dtype)
-    return kernels.add_matvec(incidence, base, flows, new)
+    r = incidence.shape[0]
+    new = scratch("disc-new", (r,) + tail, src.dtype)
+    return kernels.add_matvec(incidence, src[:r], flows, new)
 
 
 def truncated_half(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

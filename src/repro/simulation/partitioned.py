@@ -263,12 +263,6 @@ class BlockLocal:
         a, b = int(pos[0]), int(pos[-1]) + 1
         return (a, b) if b - a == pos.size else None
 
-    @classmethod
-    def _as_slice(cls, pos: np.ndarray) -> slice | np.ndarray:
-        """``pos`` as the equivalent slice when it is one contiguous range."""
-        rng = cls._contiguous_range(pos)
-        return pos if rng is None else slice(*rng)
-
     def _subset_matvec_csr(self, kind: str, rows: str, alpha: float | None = None) -> PlainCSR:
         """Row slice of a round matrix restricted to one owned-row subset.
 
@@ -302,15 +296,13 @@ class BlockLocal:
     def _discrete_subset(self, rows: str | None) -> tuple:
         """What one owned-row subset's discrete round reads (None: all owned).
 
-        Returns ``(reads, lands, dest, epos, recip, den_int)``.  ``reads`` picks
-        the extended rows the round reads — its own rows and the
-        endpoints of its incident edges: ``slice(0, k)`` when they fill
-        most of that prefix, else their index array, own rows first
-        (gathered compactly, so the small boundary subset does not
-        convert the whole slab).
-        ``lands`` locates the subset's rows within the read rows and
-        ``dest`` within the owned rows (each a slice when contiguous).
-        ``epos`` holds the incident edges' positions in
+        Returns ``(reads, dest, epos, recip, den_int)``.  ``reads`` is
+        ``None`` for the whole block — the round reads ``ext`` itself,
+        whose prefix is the owned rows — and otherwise the extended rows
+        a subset reads, gathered compactly: its own rows first, then the
+        other endpoints of its incident edges.  Either way the rows the
+        flows land on are the first rows read; ``dest`` places them in
+        the owned rows.  ``epos`` holds the incident edges' positions in
         :attr:`edge_ids` (ascending global edge id, the full fold order),
         with their biased reciprocals and int64 denominators.  The
         interior subset's edges have owned-only endpoints, so its reads
@@ -320,26 +312,18 @@ class BlockLocal:
         cached = self._sub_discrete.get(rows)
         if cached is None:
             if rows is None:
-                pos = np.arange(self.n_owned)
+                reads, dest = None, slice(None)
                 epos = np.arange(self.edge_ids.size)
             else:
-                pos = self._rows_positions(rows)
+                pos = dest = self._rows_positions(rows)
                 member = np.zeros(self.n_ext, dtype=bool)
                 member[pos] = True
                 epos = np.flatnonzero(member[self.u_loc] | member[self.v_loc])
-            read = np.zeros(self.n_ext, dtype=bool)
-            read[pos] = read[self.u_loc[epos]] = read[self.v_loc[epos]] = True
-            cols = np.flatnonzero(read)
-            k = int(cols[-1]) + 1 if cols.size else 0
-            if 2 * cols.size >= k:
-                reads, local = slice(0, k), pos
-            else:  # own rows first, so they land on one contiguous range
-                reads = np.concatenate([pos, np.setdiff1d(cols, pos, assume_unique=True)])
-                local = np.arange(pos.size)
+                ends = np.union1d(self.u_loc[epos], self.v_loc[epos])
+                reads = np.concatenate([pos, np.setdiff1d(ends, pos, assume_unique=True)])
             cached = self._sub_discrete[rows] = (
                 reads,
-                self._as_slice(local),
-                self._as_slice(pos),
+                dest,
                 epos,
                 np.ascontiguousarray(self.denominators_recip[epos]),
                 np.ascontiguousarray(self.denominators_int[epos]),
@@ -358,11 +342,10 @@ class BlockLocal:
         key = (rows, np.dtype(dtype).char)
         pair = self._sub_discrete_csrs.get(key)
         if pair is None:
-            reads, _, _, epos, _, _ = self._discrete_subset(rows)
-            cols = np.arange(reads.stop) if isinstance(reads, slice) else reads
+            reads, dest, epos, _, _ = self._discrete_subset(rows)
+            cols = np.arange(self.n_ext) if reads is None else reads
             read_pos = np.full(self.n_ext + 1, -1, dtype=np.int64)  # [-1] catches unmapped
             read_pos[cols] = np.arange(cols.size, dtype=np.int64)
-            owned = self.owned if rows is None else self.owned[self._rows_positions(rows)]
             eids = self.edge_ids[epos]
             ecolmap = np.full(self.op.m, -1, dtype=np.int64)
             ecolmap[eids] = np.arange(epos.size, dtype=np.int64)
@@ -370,7 +353,8 @@ class BlockLocal:
             pair = self._sub_discrete_csrs[key] = (
                 _slice_csr_rows(self.op.gather_csr(dtype), eids, read_pos[self._colmap],
                                 cols.size, idx),
-                _slice_csr_rows(self.op.incidence_csr(dtype), owned, ecolmap, epos.size, idx),
+                _slice_csr_rows(self.op.incidence_csr(dtype), self.owned[dest], ecolmap,
+                                epos.size, idx),
             )
         return pair
 
@@ -421,9 +405,9 @@ class BlockLocal:
         rows those edges touch: for the interior subset, owned rows
         alone, never a ghost value.
         """
-        reads, lands, dest, _, recip, den_int = self._discrete_subset(rows)
-        if isinstance(reads, slice):
-            src = ext[reads]
+        reads, dest, _, recip, den_int = self._discrete_subset(rows)
+        if reads is None:
+            src = ext
         else:
             buf = self._get_scratch("disc-reads", reads.shape + ext.shape[1:], ext.dtype)
             src = np.take(ext, reads, axis=0, out=buf)
@@ -434,15 +418,11 @@ class BlockLocal:
             recip,
             den_int,
             src,
-            lands,
             bound,
             self._get_scratch,
         )
         out = self._out(ext, out, dtype=np.int64)
-        if isinstance(dest, slice):
-            np.copyto(out[dest], new, casting="unsafe")  # exact integers: exact cast
-        else:
-            out[dest] = new
+        out[dest] = new  # exact integers: the truncating cast is exact
         return out
 
 

@@ -472,18 +472,13 @@ class TestSplitPhaseKernels:
     def test_discrete_block_rounds_equal_global_round(self, side, strategy, P):
         """Full and interior/boundary block rounds equal the global round's
         rows on both arithmetic paths: float64 right below the limit
-        (negative loads included), int64 at and above it.  On the larger
-        torus, two contiguous blocks' boundary subsets read a compact
-        gathered row set."""
+        (negative loads included), int64 at and above it."""
         from repro.core.backends import available_backends
         from repro.core.operators import RECIP_DIV_LIMIT, edge_operator
 
         backends = [b for b in ("numpy", "scipy") if b in available_backends()]
         topo = torus_2d(side, side - 1)
         part = make_partition(topo, P, strategy)
-        if (side, strategy, P) == (24, "contiguous", 2):
-            reads = [block_local(part, p)._discrete_subset("boundary")[0] for p in range(P)]
-            assert any(isinstance(r, np.ndarray) for r in reads)
         rng = np.random.default_rng(13)
         half = RECIP_DIV_LIMIT // 2
         cases = [
