@@ -585,9 +585,10 @@ def staged_discrete_round(
     ``loads`` and the ``(r, k)`` signed incidence onto the output rows;
     ``recip``/``den_int`` are the ``k`` edges' biased reciprocals and
     int64 denominators.  ``loads`` is int64 ``(n,)`` or node-major
-    ``(n, B)``; the flows land on its first ``r`` rows.  ``bound`` bounds every
-    ``|l_i|``; below :data:`RECIP_DIV_LIMIT` the round runs in float64
-    (exact, see :meth:`EdgeOperator.round_discrete`), else in int64.
+    ``(n, B)``; the flows land on its first ``r`` rows.  ``bound``
+    bounds every ``|l_i|``; below :data:`RECIP_DIV_LIMIT` the round runs
+    in float64 (exact, see :meth:`EdgeOperator.round_discrete`), else in
+    int64.
     ``scratch(key, shape, dtype)`` supplies the work buffers.
 
     Returns the ``(r,)``/``(r, B)`` next loads, scratch-backed: float64
