@@ -103,6 +103,7 @@ from repro.graphs.topology import Topology
 
 __all__ = [
     "EdgeOperator",
+    "FlatReciprocals",
     "edge_operator",
     "floor_divide_int",
     "staged_discrete_round",
@@ -163,6 +164,7 @@ class EdgeOperator:
         #: for the bias to cross.
         self.denominators_recip = (1.0 / self.denominators) * (1.0 + 2.0**-48)
         self.denominators_recip.setflags(write=False)
+        self.recip_flat = FlatReciprocals(self.denominators_recip)
         self._incidence_plain: dict[str, PlainCSR] = {}
         self._gather_plain: dict[str, PlainCSR] = {}
         self._round_plain: PlainCSR | None = None
@@ -455,33 +457,6 @@ class EdgeOperator:
             return fused
         return self.kernels.matvec(self.fos_csr(alpha, cache=cache), loads, out)
 
-    def floor_divide_denominators(
-        self, diff: np.ndarray, out: np.ndarray, bound: int | None = None
-    ) -> np.ndarray:
-        """``sign(diff) * (|diff| // denominators)`` into int64 ``out``.
-
-        ``diff`` is ``(m,)`` or node-major-aligned ``(m, B)``; ``out`` may
-        alias ``diff``.  Uses the cached biased reciprocals (exact, see
-        :attr:`denominators_recip`) when ``|diff|`` is provably below
-        :data:`RECIP_DIV_LIMIT`, else :func:`floor_divide_int`.
-        ``bound`` lets callers supply a known cheap bound on ``|diff|``
-        (e.g. ``loads.max()`` for non-negative loads); without it one
-        abs-max reduction pass decides the path.
-        """
-        if diff.size == 0:
-            return out
-        if bound is None:
-            mag = self.scratch("disc-mag", diff.shape, np.int64)
-            np.abs(diff, out=mag)
-            bound = int(mag.max())
-        if bound < RECIP_DIV_LIMIT:
-            recip = self.denominators_recip if diff.ndim == 1 else self.denominators_recip[:, None]
-            qf = self.scratch("disc-qf", diff.shape, np.float64)
-            np.multiply(diff, recip, out=qf)
-            np.copyto(out, qf, casting="unsafe")  # trunc toward zero
-            return out
-        return floor_divide_int(diff, self.denominators_int, out)
-
     def round_discrete(self, loads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One discrete Algorithm-1 round; int64 in, int64 out, exact.
 
@@ -491,9 +466,9 @@ class EdgeOperator:
         The other backends run :func:`staged_discrete_round`: below
         :data:`RECIP_DIV_LIMIT` it copies the loads into float64 once,
         computes every edge difference with one :meth:`gather_csr`
-        product, multiplies by :attr:`denominators_recip` and truncates
-        in place, scatters through the float64 :meth:`incidence_csr`,
-        and this method casts the result back into int64 ``out`` — all
+        product, multiplies by :attr:`denominators_recip` in one flat
+        pass (:class:`FlatReciprocals`) and truncates in place, scatters
+        through the float64 :meth:`incidence_csr`, and this method casts the result back into int64 ``out`` — all
         in reusable scratch, allocation-free in steady state.
 
         Why the float64 path is exact.  ``bound = max(l, 0) - min(l, 0)``
@@ -539,7 +514,7 @@ class EdgeOperator:
         if fused is not None:
             return fused
         new = staged_discrete_round(
-            self.kernels, self.discrete_csrs, self.denominators_recip,
+            self.kernels, self.discrete_csrs, self.recip_flat,
             self.denominators_int, loads, bound, self.scratch,
         )
         np.copyto(out, new, casting="unsafe")  # exact integers: the cast is exact
@@ -569,10 +544,37 @@ def floor_divide_int(diff: np.ndarray, den_int: np.ndarray, out: np.ndarray) -> 
     return out
 
 
+class FlatReciprocals:
+    """One edge set's biased reciprocals, laid out for a flat multiply.
+
+    :meth:`flat` ``(B)`` is the ``(k * B,)`` array whose entry
+    ``e * B + b`` is ``recip[e]``: multiplying a C-contiguous node-major
+    ``(k, B)`` flow batch by it in one contiguous pass is the broadcast
+    ``flows * recip[:, None]``, product for product.  The owner of the
+    edge set (an :class:`EdgeOperator`, a partition block) holds one
+    instance, which keeps the array for the last width asked for — the
+    engines run one width per run, so that is one array per edge set.
+    """
+
+    __slots__ = ("recip", "_last")
+
+    def __init__(self, recip: np.ndarray):
+        self.recip = recip
+        self._last = (1, recip)
+
+    def flat(self, B: int) -> np.ndarray:
+        last = self._last
+        if last[0] != B:
+            rep = np.repeat(self.recip, B)
+            rep.setflags(write=False)
+            last = self._last = (B, rep)
+        return last[1]
+
+
 def staged_discrete_round(
     kernels: KernelBackend,
     csrs,
-    recip: np.ndarray,
+    recip: FlatReciprocals,
     den_int: np.ndarray,
     loads: np.ndarray,
     bound: int,
@@ -583,8 +585,8 @@ def staged_discrete_round(
     ``csrs(dtype)`` returns the edge set's ``(gather, incidence)`` pair:
     the ``(k, n)`` signed edge-difference matrix over the columns of
     ``loads`` and the ``(r, k)`` signed incidence onto the output rows;
-    ``recip``/``den_int`` are the ``k`` edges' biased reciprocals and
-    int64 denominators.  ``loads`` is int64 ``(n,)`` or node-major
+    ``recip``/``den_int`` hold the ``k`` edges' biased reciprocals (as a
+    :class:`FlatReciprocals`) and int64 denominators.  ``loads`` is int64 ``(n,)`` or node-major
     ``(n, B)``; the flows land on its first ``r`` rows.  ``bound``
     bounds every ``|l_i|``; below :data:`RECIP_DIV_LIMIT` the round runs
     in float64 (exact, see :meth:`EdgeOperator.round_discrete`), else in
@@ -602,8 +604,9 @@ def staged_discrete_round(
         np.copyto(src, loads)
         flows = scratch("disc-flows", (gather.shape[0],) + tail, np.float64)
         kernels.matvec(gather, src, flows)
-        np.multiply(flows, recip if flows.ndim == 1 else recip[:, None], out=flows)
-        np.trunc(flows, out=flows)
+        flat = flows.reshape(-1)  # C-contiguous scratch: a view
+        np.multiply(flat, recip.flat(loads.shape[1] if loads.ndim == 2 else 1), out=flat)
+        np.trunc(flat, out=flat)
     else:
         gather, incidence = csrs(np.int64)
         src = loads

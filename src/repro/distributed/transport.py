@@ -50,13 +50,13 @@ A frame is encoded once, transport-independently, by
 3. the raw buffer bytes themselves, untouched.
 
 Because the slab bytes never pass through the pickler, a halo or trace
-slab is not copied on the sending side: ``tcp`` writes header, metadata
-and buffer views with one vectored ``socket.sendmsg`` batch, ``mp-pipe``
-hands each view straight to ``Connection.send_bytes``, ``loopback``
-passes the buffer views by reference (the receiver aliases the sender's
-memory — senders must not mutate a slab after sending it, which the halo
-and trace paths honour by always sending freshly materialized arrays),
-and ``mpi`` posts each view as a nonblocking point-to-point send.
+slab is not copied on the sending side: ``tcp`` and ``mp-pipe`` write
+header, metadata and buffer views with vectored ``socket.sendmsg``
+batches, ``loopback`` passes the buffer views by reference (the
+receiver aliases the sender's memory — senders must not mutate a slab
+after sending it, which the halo and trace paths honour by always
+sending freshly materialized arrays), and ``mpi`` posts each view as a
+nonblocking point-to-point send.
 Receivers rebuild each buffer with ``recv_into``-style reads into a
 preallocated ``bytearray``, so arrays reconstruct writable and without a
 second assembly copy.
@@ -65,21 +65,25 @@ No segment is ever written (or received) in pieces larger than the
 module-level :data:`MAX_CHUNK_BYTES` — monkey-patchable, recorded in
 each frame's header so both peers always agree on the chunk geometry —
 which bounds the largest contiguous write a single frame can demand and
-keeps message-oriented backends (``mp-pipe``, ``mpi``) within their
-per-message limits for arbitrarily large payloads.
+keeps the message-oriented backend (``mpi``) within its per-message
+limits for arbitrarily large payloads.  A frame's total is capped by
+:data:`MAX_FRAME_BYTES`, checked against the header before a receiver
+allocates anything for it.
 
 Byte accounting counts the *logical frame*: length prefix + header +
 metadata + buffer bytes.  The encoding is transport-independent, so the
 counters are bit-for-bit comparable across every backend (asserted by
-``TestTransportParity``); transport-private envelopes (the pipe's own
-per-message prefix, MPI's envelope) are not counted.
+``TestTransportParity``); transport-private envelopes (MPI's) are not
+counted.
 
 Backends
 --------
 ``mp-pipe``
-    A ``multiprocessing`` pipe pair (refactored out of the PR-4 process
-    mode).  Spans processes on one host under any start method; this is
-    the default for :class:`~repro.simulation.partitioned.PartitionedSimulator`'s
+    The ``tcp`` stream channel over a ``socket.socketpair()`` (AF_UNIX
+    on POSIX) — same framing, same backlog pump, no network stack.
+    Spans processes on one host under any start method (an endpoint
+    pickles into a spawned child as its socket); this is the default
+    for :class:`~repro.simulation.partitioned.PartitionedSimulator`'s
     process mode and the sharded ensemble pool.
 ``tcp``
     Frames over a persistent TCP connection via vectored ``sendmsg``
@@ -121,6 +125,7 @@ comparable across backends and a payload that works on one works on all.
 from __future__ import annotations
 
 import abc
+import functools
 import hmac
 import importlib.util
 import os
@@ -143,6 +148,7 @@ __all__ = [
     "TRANSPORTS",
     "OPTIONAL_TRANSPORTS",
     "MAX_CHUNK_BYTES",
+    "MAX_FRAME_BYTES",
     "INLINE_BUFFER_LIMIT",
     "available_transports",
     "have_mpi",
@@ -159,7 +165,6 @@ __all__ = [
     "Frame",
     "encode_frame",
     "LoopbackChannel",
-    "PipeChannel",
     "TcpChannel",
     "TcpListener",
     "MpiChannel",
@@ -202,6 +207,14 @@ _PICKLE_PROTOCOL = 5
 #: reassembly); the value used by the *sender* is recorded in the frame
 #: header, so peers never need to agree on it out of band.
 MAX_CHUNK_BYTES = 64 * 1024 * 1024
+
+#: Ceiling on one frame's logical size (length prefix + header +
+#: metadata + buffers).  A receiver rejects a header announcing more
+#: with :class:`TransportError` before allocating anything for it, so a
+#: desynced or forged header cannot demand an impossible allocation; a
+#: sender refuses to encode such a frame.  Module-level and
+#: monkey-patchable, like :data:`MAX_CHUNK_BYTES`.
+MAX_FRAME_BYTES = 1 << 34
 
 #: Buffers smaller than this stay in-band inside the metadata pickle —
 #: below a few KiB the extra wire segment costs more than the copy saves.
@@ -400,6 +413,8 @@ def encode_frame(obj) -> Frame:
         _LEN.pack(v.nbytes) for v in buffers
     )
     nbytes = _HEAD_PREFIX.size + len(head) + len(meta) + sum(v.nbytes for v in buffers)
+    if nbytes > MAX_FRAME_BYTES:
+        raise TransportError(f"a {nbytes} B frame exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES} B)")
     return Frame(head, meta, buffers, chunk, nbytes)
 
 
@@ -416,7 +431,8 @@ def _split_head(msg0) -> _HeadInfo:
 
     Senders may append the start of the metadata segment to the header
     message (the small-frame fast path); whatever follows the buffer
-    table is returned as ``meta_prefix``.
+    table is returned as ``meta_prefix``.  A header announcing a frame
+    above :data:`MAX_FRAME_BYTES` raises :class:`TransportError`.
     """
     view = memoryview(msg0).cast("B") if not isinstance(msg0, memoryview) else msg0
     if view.nbytes < HEAD_FIXED.size:
@@ -431,6 +447,12 @@ def _split_head(msg0) -> _HeadInfo:
         int(_LEN.unpack_from(view, HEAD_FIXED.size + i * _LEN.size)[0])
         for i in range(nbufs)
     ]
+    total = _frame_total(head_len, meta_len, buf_lens)
+    if total > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"undecodable frame header: announces {total} B, above MAX_FRAME_BYTES "
+            f"({MAX_FRAME_BYTES} B)"
+        )
     meta_prefix = view[head_len:]
     if meta_prefix.nbytes > meta_len:
         raise TransportError(
@@ -738,253 +760,7 @@ def loopback_pair() -> tuple[LoopbackChannel, LoopbackChannel]:
 
 
 # ----------------------------------------------------------------------
-# mp-pipe: multiprocessing pipe pair
-# ----------------------------------------------------------------------
-#: Poll slice while a channel pumps its outbound backlog inside a recv —
-#: short enough that a peer blocked mid-frame on us drains promptly.
-_PUMP_SLICE_S = 0.05
-
-_PIPE_PREFIX = struct.Struct("!i")
-_PIPE_LONG = struct.Struct("!Q")
-
-
-class PipeChannel(Channel):
-    """A ``multiprocessing.connection.Connection`` behind the seam.
-
-    Each frame part rides as its own pipe message (the pipe is message
-    oriented), so slab views go straight from the array to the pipe
-    write with no join copy; the receiver rebuilds each segment with
-    ``recv_bytes_into`` on a preallocated buffer.  Writes go through
-    ``os.write`` with ``Connection``'s exact message framing (a 4-byte
-    ``!i`` length prefix, the large-message escape above 2 GiB) so the
-    channel can toggle the fd nonblocking for :meth:`send_nowait`'s
-    backlog pump while staying wire-compatible with ``recv_bytes``.
-    Picklable the same way a raw ``Connection`` is — i.e. as a
-    ``Process`` argument under any start method — which is how the
-    sharded pool ships a worker its endpoint.
-    """
-
-    transport = "mp-pipe"
-
-    def __init__(self, conn):
-        super().__init__()
-        self._conn = conn
-        #: pending outbound wire views (flat bytes, FIFO)
-        self._backlog: deque = deque()
-        #: serializes enqueue + pump (see TcpChannel._send_lock)
-        self._send_lock = threading.RLock()
-
-    # -- outbound: Connection-framed wire views + backlog pump ---------
-    @staticmethod
-    def _wire_views(part):
-        """``part`` as wire views matching ``Connection._send_bytes``."""
-        mv = part if isinstance(part, memoryview) else memoryview(part)
-        n = mv.nbytes
-        if n > 0x7FFFFFFF:  # pragma: no cover - needs a >2 GiB message
-            yield memoryview(_PIPE_PREFIX.pack(-1) + _PIPE_LONG.pack(n))
-            yield mv
-        elif n > 16384:
-            yield memoryview(_PIPE_PREFIX.pack(n))
-            yield mv
-        else:
-            # Small message: join prefix + payload (one syscall), exactly
-            # like Connection does for wire compatibility.
-            yield memoryview(_PIPE_PREFIX.pack(n) + mv.tobytes())
-
-    def _enqueue(self, frame: Frame) -> None:
-        first, rest = _frame_messages(frame)
-        self._backlog.extend(self._wire_views(first))
-        for part in rest:
-            self._backlog.extend(self._wire_views(part))
-
-    def _pump(self) -> bool:
-        """Write backlog bytes until the pipe would block; True = empty."""
-        with self._send_lock:
-            if not self._backlog:
-                return True
-            try:
-                fd = self._conn.fileno()
-                os.set_blocking(fd, False)
-            except OSError as exc:
-                raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-            try:
-                while self._backlog:
-                    view = self._backlog[0]
-                    try:
-                        n = os.write(fd, view)
-                    except BlockingIOError:
-                        return False
-                    except (BrokenPipeError, OSError) as exc:
-                        raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-                    if n == view.nbytes:
-                        self._backlog.popleft()
-                    else:
-                        self._backlog[0] = view[n:]
-            finally:
-                try:
-                    os.set_blocking(fd, True)
-                except OSError:  # pragma: no cover - closed mid-pump
-                    pass
-            return True
-
-    def _send_frame_nowait(self, frame: Frame) -> None:
-        with self._send_lock:
-            self._enqueue(frame)
-            self._pump()
-
-    def _send_frame(self, frame: Frame) -> None:
-        with self._send_lock:
-            self._enqueue(frame)
-        self.flush()
-
-    def flush(self, timeout: float | None = None) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._pump():
-            budget = None
-            if deadline is not None:
-                budget = deadline - time.monotonic()
-                if budget <= 0:
-                    raise TransportTimeout(
-                        f"pipe send backlog made no progress within {timeout}s"
-                    )
-            try:
-                select.select([], [self._conn.fileno()], [], budget)
-            except OSError as exc:
-                raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        if self._backlog:
-            self._pump()
-        try:
-            return bool(self._conn.poll(timeout))
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-
-    # -- inbound: pump-aware incremental reads -------------------------
-    # ``Connection.recv_bytes_into`` blocks for the *whole* message, so a
-    # peer waiting on our backlog could deadlock us mid-message.  The
-    # channel reads the (Connection-framed) stream itself with short
-    # ``os.readv`` slices instead, pumping the outbound backlog between
-    # reads — progress on both directions is guaranteed as long as each
-    # endpoint is either reading or flushing.
-    def _wait_readable(self, deadline: float | None) -> None:
-        while True:
-            if self._backlog:
-                self._pump()
-            budget = None if deadline is None else deadline - time.monotonic()
-            if budget is not None and budget <= 0:
-                raise TransportTimeout("no complete frame before deadline on pipe channel")
-            if self._backlog:
-                # Outbound residue pending: wait in short slices, pumping
-                # between them, so a peer blocked mid-frame on us drains.
-                piece = _PUMP_SLICE_S if budget is None else min(_PUMP_SLICE_S, budget)
-            else:
-                piece = budget
-            try:
-                if self._conn.poll(piece):
-                    return
-            except (BrokenPipeError, EOFError, OSError) as exc:
-                raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-            if not self._backlog and budget is not None:
-                raise TransportTimeout("no complete frame before deadline on pipe channel")
-
-    def _read_exact(self, mv: memoryview, deadline: float | None) -> None:
-        """Read exactly ``mv.nbytes`` stream bytes into ``mv``."""
-        pos = 0
-        total = mv.nbytes
-        while pos < total:
-            self._wait_readable(deadline)
-            try:
-                got = os.readv(self._conn.fileno(), [mv[pos:]])
-            except BlockingIOError:  # pragma: no cover - raced a pump toggle
-                continue
-            except OSError as exc:
-                raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-            if got == 0:
-                raise ChannelClosed("pipe peer closed the connection")
-            pos += got
-
-    def _read_message_size(self, deadline: float | None) -> int:
-        """Read one Connection message length prefix."""
-        hdr = bytearray(_PIPE_PREFIX.size)
-        self._read_exact(memoryview(hdr), deadline)
-        (n,) = _PIPE_PREFIX.unpack(hdr)
-        if n == -1:  # pragma: no cover - needs a >2 GiB message
-            big = bytearray(_PIPE_LONG.size)
-            self._read_exact(memoryview(big), deadline)
-            (n,) = _PIPE_LONG.unpack(big)
-        if n < 0:
-            raise TransportError(f"pipe frame desync: negative message size {n}")
-        return n
-
-    def _recv_segment(self, nbytes: int, chunk: int, deadline: float | None,
-                      prefix: memoryview, target: memoryview | None = None):
-        """Reassemble one ``nbytes`` segment from chunked pipe messages.
-
-        ``target``, when given, is a preallocated writable byte view the
-        segment lands in (the :meth:`recv_into` fast path); otherwise a
-        fresh ``bytearray`` is allocated.
-        """
-        out = bytearray(nbytes) if target is None else target
-        mv = memoryview(out) if target is None else target
-        pos = prefix.nbytes
-        if pos:
-            mv[:pos] = prefix
-        while pos < nbytes:
-            want = min(chunk, nbytes - pos)
-            got = self._read_message_size(deadline)
-            if got != want:
-                raise TransportError(
-                    f"pipe frame desync: expected a {want} B chunk, got {got} B"
-                )
-            self._read_exact(mv[pos : pos + want], deadline)
-            pos += got
-        return out
-
-    def _recv_frame(self, timeout: float | None, alloc=None):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        n0 = self._read_message_size(deadline)
-        if not HEAD_FIXED.size <= n0 <= _MAX_HEAD_BYTES:
-            raise TransportError(f"undecodable frame header ({n0} B)")
-        msg0 = bytearray(n0)
-        self._read_exact(memoryview(msg0), deadline)
-        info = _split_head(memoryview(msg0))
-        meta = self._recv_segment(info.meta_len, info.chunk, deadline, info.meta_prefix)
-        empty = memoryview(b"")
-        buffers = [
-            self._recv_segment(
-                n, info.chunk, deadline, empty,
-                target=alloc(i, n) if alloc is not None else None,
-            )
-            for i, n in enumerate(info.buf_lens)
-        ]
-        return info.head_len, meta, buffers
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - double close
-            pass
-
-    def fileno(self) -> int:
-        return self._conn.fileno()
-
-    def __reduce__(self):
-        # Counters are per-endpoint-per-process; a pickled channel starts
-        # fresh on the other side (exactly like a pickled Connection).
-        return (PipeChannel, (self._conn,))
-
-
-def pipe_pair(ctx=None) -> tuple[PipeChannel, PipeChannel]:
-    """Two connected pipe endpoints (``ctx`` defaults to ``multiprocessing``)."""
-    import multiprocessing as mp
-
-    left, right = (ctx or mp).Pipe()
-    return PipeChannel(left), PipeChannel(right)
-
-
-# ----------------------------------------------------------------------
-# tcp: vectored frames over a persistent socket
+# tcp / mp-pipe: vectored frames over a persistent stream socket
 # ----------------------------------------------------------------------
 #: Default ceiling on one TCP send.  Generous — a send only stalls
 #: this long when the peer stops draining entirely — but finite, so a
@@ -996,35 +772,55 @@ DEFAULT_SEND_TIMEOUT = 600.0
 #: and forced-chunking tests can produce thousands of views.
 _IOV_BATCH = 64
 
+#: Wait slice while a channel pumps its outbound backlog inside a recv —
+#: short enough that a peer blocked mid-frame on us drains promptly.
+_PUMP_SLICE_S = 0.05
+
+#: Socket families where ``TCP_NODELAY`` means something (a socketpair
+#: is AF_UNIX on POSIX and an AF_INET loopback pair on Windows).
+_INET_FAMILIES = (socket.AF_INET, socket.AF_INET6)
+
+
 class TcpChannel(Channel):
-    """One endpoint of a persistent TCP connection.
+    """One endpoint of a persistent stream-socket connection.
 
     Wire format: a 4-byte big-endian header length, the frame header,
     then metadata and raw buffer bytes — all written as one vectored
     ``socket.sendmsg`` batch, so slabs go from array memory to the
     kernel without an intermediate join.  ``nodelay`` (default on)
-    disables Nagle — halo frames are small and latency-bound, and the
-    pairwise protocol serializes round trips.  ``buffer_size`` sets
-    ``SO_SNDBUF``/``SO_RCVBUF`` when given (large ``(n_block, B)`` slabs
-    benefit from roomy kernel buffers); ``send_timeout`` bounds each
-    send (see :data:`DEFAULT_SEND_TIMEOUT`).
+    disables Nagle on internet sockets — halo frames are small and
+    latency-bound, and the pairwise protocol serializes round trips.
+    ``buffer_size`` sets ``SO_SNDBUF``/``SO_RCVBUF`` when given (large
+    ``(n_block, B)`` slabs benefit from roomy kernel buffers);
+    ``send_timeout`` bounds each send (see :data:`DEFAULT_SEND_TIMEOUT`).
+
+    The same channel runs the ``mp-pipe`` transport over a
+    ``socket.socketpair()`` (:func:`pipe_pair`); ``transport`` names
+    the backend it reports.  A channel pickles as its socket, so
+    :mod:`multiprocessing`'s pickler duplicates the descriptor into a
+    spawned child (a ``Process`` argument, as a ``Connection`` would be);
+    the counters start fresh on the other side.
     """
 
     transport = "tcp"
 
     def __init__(self, sock: socket.socket, *, nodelay: bool = True,
                  buffer_size: int | None = None,
-                 send_timeout: float | None = DEFAULT_SEND_TIMEOUT):
+                 send_timeout: float | None = DEFAULT_SEND_TIMEOUT,
+                 transport: str = "tcp"):
         super().__init__()
+        self.transport = transport
         self._sock = sock
         self._closed = False
+        self._nodelay = nodelay
         self._send_timeout = send_timeout
         #: pending outbound wire views (flat bytes, FIFO)
         self._backlog: deque = deque()
         #: serializes enqueue + pump so two sender threads (job + heartbeat)
         #: never interleave frame fragments; never held across a blocking wait
         self._send_lock = threading.RLock()
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1 if nodelay else 0)
+        if sock.family in _INET_FAMILIES:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1 if nodelay else 0)
         if buffer_size is not None:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, int(buffer_size))
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, int(buffer_size))
@@ -1033,6 +829,13 @@ class TcpChannel(Channel):
         # sender thread (e.g. a worker's heartbeat loop) is safe
         # alongside a receiver blocked on the same socket.
         sock.setblocking(False)
+
+    def __reduce__(self):
+        return (
+            functools.partial(TcpChannel, nodelay=self._nodelay,
+                              send_timeout=self._send_timeout, transport=self.transport),
+            (self._sock,),
+        )
 
     # -- outbound: backlog + nonblocking vectored pump -----------------
     def _enqueue(self, frame: Frame) -> None:
@@ -1060,7 +863,7 @@ class TcpChannel(Channel):
                 except (BlockingIOError, InterruptedError):
                     return False
                 except (BrokenPipeError, ConnectionError, OSError) as exc:
-                    raise ChannelClosed(f"tcp peer is gone: {exc}") from exc
+                    raise ChannelClosed(f"{self.transport} peer is gone: {exc}") from exc
                 while sent > 0:
                     v = self._backlog[0]
                     if sent >= v.nbytes:
@@ -1093,14 +896,14 @@ class TcpChannel(Channel):
                 budget = deadline - time.monotonic()
                 if budget <= 0:
                     raise TransportTimeout(
-                        f"tcp send backlog made no progress within {timeout}s "
+                        f"{self.transport} send backlog made no progress within {timeout}s "
                         f"(peer wedged?)"
                     )
             piece = 0.25 if budget is None else min(0.25, budget)
             try:
                 select.select([], [self._sock], [], piece)
             except OSError as exc:
-                raise ChannelClosed(f"tcp peer is gone: {exc}") from exc
+                raise ChannelClosed(f"{self.transport} peer is gone: {exc}") from exc
 
     def poll(self, timeout: float = 0.0) -> bool:
         if self._backlog:
@@ -1108,43 +911,51 @@ class TcpChannel(Channel):
         try:
             ready, _, _ = select.select([self._sock], [], [], timeout)
         except OSError as exc:
-            raise ChannelClosed(f"tcp peer is gone: {exc}") from exc
+            raise ChannelClosed(f"{self.transport} peer is gone: {exc}") from exc
         return bool(ready)
 
     # -- inbound -------------------------------------------------------
     def _recv_exact_into(self, mv: memoryview, deadline: float | None) -> None:
+        """Read exactly ``mv.nbytes`` stream bytes into ``mv``.
+
+        Reads first and waits only when the socket has nothing: a reply
+        that is already queued costs one ``recv_into``, no ``select``.
+        Any outbound backlog is pumped before every read, so a peer
+        blocked mid-frame on us drains.
+        """
         pos = 0
         total = mv.nbytes
         while pos < total:
-            budget = None
-            if deadline is not None:
-                budget = deadline - time.monotonic()
-                if budget <= 0:
-                    raise TransportTimeout("no complete frame before deadline on tcp channel")
             if self._backlog:
-                # Outbound residue pending: read in short slices, pumping
-                # between them, so a peer blocked mid-frame on us drains.
                 self._pump()
-                slice_ = _PUMP_SLICE_S if budget is None else min(_PUMP_SLICE_S, budget)
-            else:
-                slice_ = budget
             try:
-                if slice_ is None:
-                    select.select([self._sock], [], [])
-                else:
-                    ready, _, _ = select.select([self._sock], [], [], slice_)
-                    if not ready:
-                        if budget is None or slice_ < budget:
-                            continue  # partial slice expired, budget has not
-                        raise TransportTimeout("tcp recv timed out mid-frame")
                 got = self._sock.recv_into(mv[pos:])
             except (BlockingIOError, InterruptedError):
-                continue  # readable raced away (concurrent drain/EINTR)
+                self._wait_readable(deadline)
+                continue
             except (ConnectionError, OSError) as exc:
-                raise ChannelClosed(f"tcp peer is gone: {exc}") from exc
+                raise ChannelClosed(f"{self.transport} peer is gone: {exc}") from exc
             if not got:
-                raise ChannelClosed("tcp peer closed the connection")
+                raise ChannelClosed(f"{self.transport} peer closed the connection")
             pos += got
+
+    def _wait_readable(self, deadline: float | None) -> None:
+        """Wait until the socket may be readable, or one pump slice ends
+        while an outbound backlog is pending; past ``deadline`` raise
+        :class:`TransportTimeout`."""
+        budget = None
+        if deadline is not None:
+            budget = deadline - time.monotonic()
+            if budget <= 0:
+                raise TransportTimeout(
+                    f"no complete frame before deadline on {self.transport} channel"
+                )
+        if self._backlog:
+            budget = _PUMP_SLICE_S if budget is None else min(_PUMP_SLICE_S, budget)
+        try:
+            select.select([self._sock], [], [], budget)
+        except OSError as exc:
+            raise ChannelClosed(f"{self.transport} peer is gone: {exc}") from exc
 
     def _recv_frame(self, timeout: float | None, alloc=None):
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -1190,7 +1001,7 @@ class TcpChannel(Channel):
         try:
             host, port = self._sock.getpeername()[:2]
             return str(host), int(port)
-        except OSError:  # pragma: no cover - already closed
+        except (OSError, ValueError):  # closed, or a socketpair (no address)
             return None
 
 
@@ -1308,6 +1119,13 @@ def tcp_pair(**options) -> tuple[TcpChannel, TcpChannel]:
         client = tcp_connect(listener.address, retries=0, **options)
         server = listener.accept(timeout=10.0)
     return client, server
+
+
+def pipe_pair() -> tuple[TcpChannel, TcpChannel]:
+    """Two connected ``mp-pipe`` endpoints: :class:`TcpChannel` over a
+    ``socket.socketpair()`` (AF_UNIX on POSIX)."""
+    left, right = socket.socketpair()
+    return TcpChannel(left, transport="mp-pipe"), TcpChannel(right, transport="mp-pipe")
 
 
 # ----------------------------------------------------------------------
@@ -1525,19 +1343,19 @@ def mpi_pair(comm=None) -> tuple[MpiChannel, MpiChannel]:
 # ----------------------------------------------------------------------
 # registry + addresses
 # ----------------------------------------------------------------------
-def make_pair(transport: str = "mp-pipe", *, ctx=None, **options) -> tuple[Channel, Channel]:
+def make_pair(transport: str = "mp-pipe", **options) -> tuple[Channel, Channel]:
     """Two connected endpoints of the named transport.
 
-    ``mp-pipe`` accepts ``ctx`` (a multiprocessing context); ``tcp``
-    accepts the socket options of :class:`TcpChannel`; ``loopback``
-    takes no options; ``mpi`` (available when ``mpi4py`` is importable)
-    accepts ``comm``.  This is the seam the local runtimes build their
-    worker links through — swapping the string swaps the wire.
+    ``tcp`` accepts the socket options of :class:`TcpChannel`;
+    ``mp-pipe`` and ``loopback`` take no options; ``mpi`` (available
+    when ``mpi4py`` is importable) accepts ``comm``.  This is the seam
+    the local runtimes build their worker links through — swapping the
+    string swaps the wire.
     """
     if transport == "mp-pipe":
         if options:
             raise ValueError(f"mp-pipe transport takes no options, got {sorted(options)}")
-        return pipe_pair(ctx=ctx)
+        return pipe_pair()
     if transport == "tcp":
         return tcp_pair(**options)
     if transport == "loopback":

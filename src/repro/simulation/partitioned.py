@@ -43,7 +43,7 @@ Execution modes
 ``mode="process"``
     ``P`` persistent worker processes, one block each, exchanging halos
     **peer-to-peer** through :mod:`repro.distributed.transport` channels
-    (``transport="mp-pipe"`` pipes by default, or ``"tcp"`` sockets —
+    (``transport="mp-pipe"`` socketpairs by default, or ``"tcp"`` sockets —
     the same wire the multi-host dispatcher uses; deadlock-free pairwise
     protocol: the lower-id block of each pair sends first).  Workers
     hold an ``(n_block, B)`` slab — the node axis composes with the
@@ -76,7 +76,12 @@ import numpy as np
 
 from repro.core.backends import PlainCSR, resolve_backend
 from repro.observability.recorder import get_recorder
-from repro.core.operators import EdgeOperator, edge_operator, staged_discrete_round
+from repro.core.operators import (
+    EdgeOperator,
+    FlatReciprocals,
+    edge_operator,
+    staged_discrete_round,
+)
 from repro.core.protocols import Balancer
 from repro.distributed.transport import TransportError, make_pair
 from repro.distributed.worker import run_block_loop
@@ -304,8 +309,9 @@ class BlockLocal:
         flows land on are the first rows read; ``dest`` places them in
         the owned rows.  ``epos`` holds the incident edges' positions in
         :attr:`edge_ids` (ascending global edge id, the full fold order),
-        with their biased reciprocals and int64 denominators.  The
-        interior subset's edges have owned-only endpoints, so its reads
+        with their biased reciprocals (a :class:`FlatReciprocals`, which
+        caches the subset's repeated multiplier on this block) and int64
+        denominators.  The interior subset's edges have owned-only endpoints, so its reads
         never reach the ghost segment — which is what lets the interior
         phase run on stale ghost values.
         """
@@ -325,7 +331,7 @@ class BlockLocal:
                 reads,
                 dest,
                 epos,
-                np.ascontiguousarray(self.denominators_recip[epos]),
+                FlatReciprocals(np.ascontiguousarray(self.denominators_recip[epos])),
                 np.ascontiguousarray(self.denominators_int[epos]),
             )
         return cached
@@ -482,7 +488,7 @@ def _partial_stats(
 ) -> tuple:
     """One block's per-replica contributions to the round's statistics."""
     if np.issubdtype(new.dtype, np.integer):
-        sums = new.sum(axis=0)
+        sums = np.einsum("ij->j", new)  # exact int64, faster than sum(axis=0)
     else:
         sums = np.ones(new.shape[0]) @ new
     ss = np.einsum("ij,ij->j", new, new, dtype=np.float64)
@@ -521,8 +527,8 @@ class _LocalProcessExecutor:
     channel back to the coordinator and a full mesh of peer channels for
     the halo exchange, all built by
     :func:`repro.distributed.transport.make_pair` for the configured
-    transport (``mp-pipe`` pipes, or ``tcp`` sockets over localhost —
-    the same wire a multi-host run uses).
+    transport (``mp-pipe`` socketpairs, or ``tcp`` sockets over
+    localhost — the same wire a multi-host run uses).
     """
 
     def __init__(self, sim: "PartitionedSimulator", L: np.ndarray, B: int,
@@ -545,20 +551,15 @@ class _LocalProcessExecutor:
         )
         for p in range(P):
             block_local(part0, p, resolved)
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork") if "fork" in methods else mp.get_context()
-        if sim.transport != "mp-pipe" and "fork" not in methods:
-            raise RuntimeError(
-                f"transport {sim.transport!r} requires the fork start method for "
-                "local process mode (its channels cannot be pickled to a spawned "
-                "worker); use transport='mp-pipe' on this platform"
-            )
+        # Both socket transports pickle into a spawned child as their
+        # socket, so fork is preferred (warm caches) but not required.
+        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
 
-        ctrl = [make_pair(sim.transport, ctx=ctx) for _ in range(P)]
+        ctrl = [make_pair(sim.transport) for _ in range(P)]
         mesh: dict[tuple[int, int], tuple] = {}
         for p in range(P):
             for q in range(p + 1, P):
-                mesh[(p, q)] = make_pair(sim.transport, ctx=ctx)
+                mesh[(p, q)] = make_pair(sim.transport)
         forked = ctx.get_start_method() == "fork"
         all_ends = [end for pair in ctrl for end in pair]
         all_ends += [end for pair in mesh.values() for end in pair]

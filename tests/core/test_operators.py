@@ -110,77 +110,6 @@ class TestScratch:
         assert op.scratch("y", (4, 2), np.float64) is not a
 
 
-class TestReciprocalFloorDivision:
-    """The biased-reciprocal fast path is exact, with a guarded fallback."""
-
-    def test_matches_integer_division_randomized(self, torus, rng):
-        op = edge_operator(torus)
-        for _ in range(20):
-            diff = rng.integers(-(1 << 45), 1 << 45, torus.m)
-            want = np.sign(diff) * (np.abs(diff) // op.denominators_int)
-            got = op.floor_divide_denominators(diff, np.empty_like(diff))
-            assert np.array_equal(got, want)
-
-    def test_exact_at_multiples_of_denominator(self, torus):
-        """Exact multiples are the adversarial case for reciprocal division:
-        an unbiased reciprocal truncates them one short."""
-        op = edge_operator(torus)
-        for k in (0, 1, 2, 3, 1000, (1 << 45) // (8 * torus.max_degree)):
-            for off in (-1, 0, 1):
-                for sign in (1, -1):
-                    diff = sign * (k * op.denominators_int + off)
-                    want = np.sign(diff) * (np.abs(diff) // op.denominators_int)
-                    got = op.floor_divide_denominators(diff, np.empty_like(diff))
-                    assert np.array_equal(got, want), (k, off, sign)
-
-    def test_batched_form(self, torus, rng):
-        op = edge_operator(torus)
-        diff = rng.integers(-(1 << 40), 1 << 40, (torus.m, 6))
-        want = np.sign(diff) * (np.abs(diff) // op.denominators_int[:, None])
-        got = op.floor_divide_denominators(diff, np.empty_like(diff))
-        assert np.array_equal(got, want)
-
-    def test_out_of_range_falls_back_exactly(self, torus):
-        from repro.core.operators import RECIP_DIV_LIMIT
-
-        op = edge_operator(torus)
-        diff = np.full(torus.m, RECIP_DIV_LIMIT * 4, dtype=np.int64)
-        diff[::2] = -diff[::2]
-        want = np.sign(diff) * (np.abs(diff) // op.denominators_int)
-        got = op.floor_divide_denominators(diff, np.empty_like(diff))
-        assert np.array_equal(got, want)
-
-    def test_round_discrete_unchanged_by_fast_path(self, any_topology, rng):
-        """The discrete round is bit-identical whichever division path runs
-        (both compute the exact floor)."""
-        op = edge_operator(any_topology)
-        loads = rng.integers(0, 100_000, any_topology.n).astype(np.int64)
-        diff = op.differences(loads)
-        flows = np.sign(diff) * (np.abs(diff) // op.denominators_int)
-        want = op.apply_flows(loads, flows)
-        got = op.round_discrete(loads)
-        assert np.array_equal(got, want)
-
-    def test_round_discrete_negative_loads_stay_exact(self, torus):
-        """The fast-path guard must bound |diff| via max - min: a caller
-        passing negative loads (the public kernel does not validate) must
-        not slip oversized differences past the reciprocal exactness range."""
-        from repro.core.operators import RECIP_DIV_LIMIT
-
-        op = edge_operator(torus)
-        loads = np.zeros(torus.n, dtype=np.int64)
-        loads[0] = -(RECIP_DIV_LIMIT * 8 - 1)
-        diff = op.differences(loads)
-        flows = np.sign(diff) * (np.abs(diff) // op.denominators_int)
-        want = op.apply_flows(loads, flows)
-        assert np.array_equal(op.round_discrete(loads), want)
-
-    def test_recip_cache_read_only(self, torus):
-        op = edge_operator(torus)
-        with pytest.raises(ValueError):
-            op.denominators_recip[0] = 1.0
-
-
 def _staged_backends():
     from repro.core.backends import available_backends
 
@@ -270,6 +199,78 @@ class TestFloat64StagedRound:
             # one past it: the int64 fallback
             loads[..., 1] = half + 1
             self._check(topo, loads)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_random_differences_both_sides_of_limit(self, batched, torus, rng):
+        """Random loads just below the limit (reciprocal path) and far
+        above it (integer fallback) give the exact floor division — also
+        where edges damp by different values (grid, wheel)."""
+        from repro.core.operators import RECIP_DIV_LIMIT
+
+        for topo in (torus, g.grid_2d(4, 5), g.wheel(12)):
+            shape = (6, topo.n) if batched else (topo.n,)
+            for _ in range(10):
+                self._check(topo, rng.integers(0, RECIP_DIV_LIMIT, shape).astype(np.int64))
+                self._check(topo, rng.integers(0, 8 * RECIP_DIV_LIMIT, shape).astype(np.int64))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_exact_multiples_of_damping_on_both_paths(self, batched, torus):
+        """Exact multiples are the adversarial case for reciprocal division
+        (an unbiased reciprocal truncates them one short).  A checkerboard
+        on the 4-regular torus puts ``±(k * 16 + off)`` on every edge."""
+        from repro.core.operators import RECIP_DIV_LIMIT
+
+        side = 4
+        black = (np.arange(torus.n) // side + np.arange(torus.n) % side) % 2 == 0
+        den = 4 * torus.max_degree
+        ks = (0, 1, 2, 3, 1000, (RECIP_DIV_LIMIT - 2) // den, 4 * RECIP_DIV_LIMIT // den)
+        for k in ks:
+            for off in (-1, 0, 1):
+                high = max(k * den + off, 0)
+                loads = np.where(black, high, 0).astype(np.int64)
+                self._check(torus, np.stack([loads, loads[::-1].copy()]) if batched else loads)
+
+    def test_round_discrete_matches_explicit_flows(self, any_topology, rng):
+        """The discrete round equals the explicit int64 differences,
+        floor-divided flows and incidence scatter."""
+        op = edge_operator(any_topology)
+        loads = rng.integers(0, 100_000, any_topology.n).astype(np.int64)
+        diff = op.differences(loads)
+        flows = np.sign(diff) * (np.abs(diff) // op.denominators_int)
+        assert np.array_equal(op.round_discrete(loads), op.apply_flows(loads, flows))
+
+    def test_round_discrete_negative_loads_stay_exact(self, torus):
+        """The fast-path guard must bound |diff| via max - min: a caller
+        passing negative loads (the public kernel does not validate) must
+        not slip oversized differences past the reciprocal exactness range."""
+        from repro.core.operators import RECIP_DIV_LIMIT
+
+        op = edge_operator(torus)
+        loads = np.zeros(torus.n, dtype=np.int64)
+        loads[0] = -(RECIP_DIV_LIMIT * 8 - 1)
+        diff = op.differences(loads)
+        flows = np.sign(diff) * (np.abs(diff) // op.denominators_int)
+        want = op.apply_flows(loads, flows)
+        assert np.array_equal(op.round_discrete(loads), want)
+
+    def test_recip_cache_read_only(self, torus):
+        op = edge_operator(torus)
+        with pytest.raises(ValueError):
+            op.denominators_recip[0] = 1.0
+
+    def test_flat_reciprocals_repeat_each_edge(self):
+        """The flat multiplier is the broadcast reciprocal, read-only,
+        and kept on the operator for the width last asked for."""
+        topo = g.grid_2d(4, 5)  # edges damp by 12 and 16
+        op = edge_operator(topo)
+        flat = op.recip_flat
+        assert flat.flat(1) is op.denominators_recip
+        wide = flat.flat(5)
+        assert np.array_equal(wide.reshape(topo.m, 5),
+                              np.broadcast_to(op.denominators_recip[:, None], (topo.m, 5)))
+        assert flat.flat(5) is wide
+        with pytest.raises(ValueError):
+            wide[0] = 1.0
 
     def test_float64_path_below_limit_int64_path_at_limit(self):
         """Which arithmetic ran is visible in the scratch the round used."""

@@ -1,5 +1,7 @@
 """Unit tests for the transport seam: framing, accounting, protocol."""
 
+import multiprocessing as mp
+import struct
 import threading
 import time
 
@@ -265,14 +267,77 @@ class TestChunking:
         """Receivers follow the header's chunk size, so peers patched to
         different limits still interoperate (as forked workers might be)."""
         a, b = make_pair("mp-pipe")
-        # Small enough that its ~36 chunk messages fit the pipe buffer
-        # (per-message skb overhead makes tiny chunks expensive), so the
-        # single-threaded send cannot block.
+        # Small enough that the whole frame (~36 chunks) fits the
+        # socketpair's send buffer, so the single-threaded send cannot
+        # block.
         payload = np.arange(256, dtype=np.int64)
         n = a.send(payload)
         transport.MAX_CHUNK_BYTES = 1 << 20  # receiver-side value differs
         got = b.recv(timeout=10.0)
         assert np.array_equal(got, payload) and b.bytes_received == n
+        a.close(), b.close()
+
+
+def _echo_frames(channel):
+    """Spawned-child target: echo each frame back with this endpoint's
+    transport name and receive count, until the peer closes."""
+    try:
+        while True:
+            obj = channel.recv(timeout=60.0)
+            channel.send((channel.transport, channel.messages_received, obj))
+    except ChannelClosed:
+        pass
+    finally:
+        channel.close()
+
+
+class TestSocketEndpoints:
+    """What the two socket transports share: pickling into spawned
+    children and the frame-size ceiling."""
+
+    @pytest.mark.parametrize("t", ["mp-pipe", "tcp"])
+    def test_endpoint_pickles_into_spawned_child(self, t):
+        """Where fork is missing, an endpoint travels to a spawned child
+        as a Process argument: the pickler duplicates its socket."""
+        parent, child = make_pair(t)
+        proc = mp.get_context("spawn").Process(target=_echo_frames, args=(child,), daemon=True)
+        proc.start()
+        child.detach()
+        slab = np.arange(4096, dtype=np.int64)  # rides out-of-band
+        n = parent.send(("slab", slab))
+        name, count, (tag, got) = parent.recv(timeout=60.0)
+        assert name == t and count == 1  # counters start fresh in the child
+        assert tag == "slab" and np.array_equal(got, slab)
+        assert parent.bytes_sent == n
+        parent.close()
+        proc.join(timeout=30)
+        assert proc.exitcode == 0
+
+    @pytest.mark.parametrize("t", ["mp-pipe", "tcp"])
+    @pytest.mark.parametrize("field", ["meta", "buffer"])
+    def test_forged_frame_size_is_a_transport_error(self, t, field):
+        """A header announcing a 2**62 B segment is rejected before any
+        allocation: TransportError, never MemoryError."""
+        a, b = make_pair(t)
+        huge = 1 << 62
+        if field == "meta":
+            head, meta = transport.HEAD_FIXED.pack(0, huge, 1 << 20), b""
+        else:
+            head = transport.HEAD_FIXED.pack(1, 16, 1 << 20) + struct.pack(">Q", huge)
+            meta = bytes(16)  # a complete metadata segment, then the buffer
+        a._sock.sendall(struct.pack(">I", len(head)) + head + meta)
+        with pytest.raises(TransportError, match="MAX_FRAME_BYTES"):
+            b.recv(timeout=5.0)
+        a.close(), b.close()
+
+    def test_ceiling_applies_to_both_ends(self, monkeypatch):
+        a, b = make_pair("mp-pipe")
+        a.send(np.arange(8192, dtype=np.int64))
+        monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 1024)
+        with pytest.raises(TransportError, match="MAX_FRAME_BYTES"):
+            b.recv(timeout=5.0)
+        with pytest.raises(TransportError, match="MAX_FRAME_BYTES"):
+            a.send(np.arange(8192, dtype=np.int64))
         a.close(), b.close()
 
 
