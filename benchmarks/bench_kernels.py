@@ -12,7 +12,7 @@ import pytest
 from repro.baselines.first_order import fos_round_continuous, fos_round_discrete_randomized
 from repro.core.diffusion import diffusion_round_continuous, diffusion_round_discrete
 from repro.core.potential import potential
-from repro.core.random_partner import partner_round_continuous
+from repro.core.random_partner import RandomPartnerBalancer, partner_round_continuous
 from repro.core.sequential import sequentialize_round
 from repro.graphs.generators import random_regular, torus_2d
 from repro.graphs.matchings import luby_matching
@@ -67,6 +67,14 @@ def test_kernel_partner_round_10k(benchmark):
     rng = np.random.default_rng(5)
     out = benchmark(partner_round_continuous, loads, rng)
     assert out.sum() == pytest.approx(loads.sum(), rel=1e-9)
+
+
+def test_kernel_partner_round_batch_4096x8(benchmark):
+    """One lockstep ``step_batch`` round at the dispatch shard shape (n=4096, B=8)."""
+    loads = np.random.default_rng(8).uniform(0, 100, (4096, 8))
+    rngs = [np.random.default_rng(10 + b) for b in range(8)]
+    out = benchmark(RandomPartnerBalancer().step_batch, loads, rngs)
+    np.testing.assert_allclose(out.sum(axis=0), loads.sum(axis=0), rtol=1e-9)
 
 
 def test_kernel_luby_matching_10k(benchmark, big_torus):

@@ -131,7 +131,10 @@ class EdgeOperator:
     """
 
     def __init__(self, topo: Topology, backend: str | KernelBackend | None = None):
-        self.topo = topo
+        # No reference back to ``topo``: the topology caches its operators,
+        # so a back-reference would make every topology cyclic garbage that
+        # only the cyclic collector frees (with all its operator arrays).
+        self.degrees = topo.degrees
         self.n = topo.n
         self.m = topo.m
         edges = topo.edges
@@ -285,7 +288,7 @@ class EdgeOperator:
         if M is None:
             pattern, diag_pos = self._fos_pattern()
             data = np.full(pattern.nnz, key, dtype=np.float64)
-            deg = self.topo.degrees
+            deg = self.degrees
             # Subtraction ladder: ladder[d] is the d-step sequential fold
             # 1 - alpha - ... - alpha, the exact value np.subtract.at
             # accumulates for a degree-d node — O(max_degree + n) instead

@@ -62,14 +62,25 @@ def sample_partners(n: int, rng: np.random.Generator) -> np.ndarray:
 def sample_partner_links(n: int, rng: np.random.Generator) -> np.ndarray:
     """One round's link set: canonical, deduplicated ``(m, 2)`` array.
 
-    ``n <= m <= n`` picks collapse to ``m in [n/2, n]`` distinct links
-    (mutual picks merge).
+    The ``n`` picks collapse to ``n/2 <= m <= n`` distinct links (mutual
+    picks merge).  Rows are ``u < v`` in lexicographic order; that order
+    is part of the contract, because it fixes the accumulation order of
+    the ``ufunc.at`` scatter that applies the flows.
+
+    Each node picks once, so the only duplicate of a link is the second
+    end of a mutual pick; it is masked out, and the surviving links are
+    sorted as the 1-D key ``u * n + v`` rather than as rows.
     """
     partners = sample_partners(n, rng)
     ids = np.arange(n, dtype=np.int64)
-    lo = np.minimum(ids, partners)
-    hi = np.maximum(ids, partners)
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    keep = (partners[partners] != ids) | (ids < partners)
+    key = np.maximum(ids, partners)
+    key += np.minimum(ids, partners) * n
+    key = key[keep]
+    key.sort()
+    links = np.empty((key.size, 2), dtype=np.int64)
+    np.divmod(key, n, out=(links[:, 0], links[:, 1]))
+    return links
 
 
 def link_degrees(n: int, links: np.ndarray) -> np.ndarray:

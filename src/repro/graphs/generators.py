@@ -114,14 +114,10 @@ def torus_2d(rows: int, cols: int) -> Topology:
     if rows < 3 or cols < 3:
         raise ValueError("torus needs both dimensions >= 3")
 
-    def nid(r: int, c: int) -> int:
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            edges.append((nid(r, c), nid(r, (c + 1) % cols)))
-            edges.append((nid(r, c), nid((r + 1) % rows, c)))
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    tails = np.concatenate([ids, ids]).ravel()
+    heads = np.concatenate([np.roll(ids, -1, axis=1), np.roll(ids, -1, axis=0)]).ravel()
+    edges = np.stack([tails, heads], axis=1)
     return Topology(rows * cols, edges, name=f"torus:{rows}x{cols}")
 
 

@@ -38,6 +38,7 @@ derived structure on the (immutable) topology instance exactly like
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -260,10 +261,16 @@ class Partition:
     ) -> "Partition":
         """The partition of ``topo`` under ``assignment``, cached on the
         topology instance — dynamic networks that cycle through a fixed
-        set of graphs derive the halo structure once per distinct graph."""
+        set of graphs derive the halo structure once per distinct graph.
+
+        The cache holds partitions weakly: a partition refers to its
+        topology, so a strong entry would make the pair cyclic garbage
+        that only the cyclic collector frees, with every block's arrays.
+        A run keeps the partitions it uses alive itself.
+        """
         cache = topo.__dict__.get(_CACHE_ATTR)
         if cache is None:
-            cache = topo.__dict__[_CACHE_ATTR] = {}
+            cache = topo.__dict__[_CACHE_ATTR] = weakref.WeakValueDictionary()
         key = np.asarray(assignment, dtype=np.int64).tobytes()
         part = cache.get(key)
         if part is None:

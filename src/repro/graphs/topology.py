@@ -27,14 +27,21 @@ import numpy as np
 __all__ = ["Topology"]
 
 
-def _canonicalize_edges(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
+def _canonicalize_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
     """Return a sorted, deduplicated ``(m, 2)`` int64 array with ``u < v``.
 
     Self-loops are rejected: a node never balances with itself and a loop
     would corrupt the degree bookkeeping that the transfer rate
     ``1 / (4 max(d_i, d_j))`` depends on.
+
+    Edges are sorted as the 1-D key ``u * n + v`` (lexicographic on
+    ``(u, v)``) and deduplicated by adjacent difference; the key needs
+    ``n * n < 2**63``, so larger ``n`` sorts rows with ``np.unique``.
     """
-    arr = np.asarray(list(edges), dtype=np.int64)
+    if isinstance(edges, np.ndarray):
+        arr = edges.astype(np.int64, copy=False)
+    else:
+        arr = np.asarray(list(edges), dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -45,7 +52,17 @@ def _canonicalize_edges(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
         raise ValueError("self-loops are not allowed")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
-    canon = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    if n * n >= 2**63:
+        return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    key = lo * n
+    key += hi
+    key.sort()
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    key = key[first]
+    canon = np.empty((key.size, 2), dtype=np.int64)
+    np.divmod(key, n, out=(canon[:, 0], canon[:, 1]))
     return canon
 
 
@@ -57,8 +74,9 @@ class Topology:
     n:
         Number of nodes.  Must be positive.
     edges:
-        Iterable of ``(u, v)`` pairs.  Direction, duplicates and ordering
-        are normalized away; self-loops raise ``ValueError``.
+        Iterable of ``(u, v)`` pairs, or an ``(m, 2)`` integer array.
+        Direction, duplicates and ordering are normalized away; self-loops
+        raise ``ValueError``.
     name:
         Optional human-readable label used by reports and benchmarks.
 

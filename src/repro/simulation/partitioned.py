@@ -161,7 +161,6 @@ class BlockLocal:
     def __init__(self, part: Partition, block_id: int, backend: str | None = None):
         if not 0 <= block_id < part.blocks:
             raise ValueError(f"block {block_id} out of range for {part.blocks} blocks")
-        self.part = part
         self.p = int(block_id)
         self.op: EdgeOperator = edge_operator(part.topo, backend)
         op = self.op

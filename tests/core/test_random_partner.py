@@ -44,6 +44,20 @@ class TestSampling:
         links = sample_partner_links(64, rng)
         assert (links[:, 0] < links[:, 1]).all()
         assert np.unique(links, axis=0).shape == links.shape
+        # Lexicographic row order fixes the scatter's accumulation order.
+        order = np.lexsort((links[:, 1], links[:, 0]))
+        np.testing.assert_array_equal(order, np.arange(links.shape[0]))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 4096])
+    def test_links_equal_row_unique_reference(self, n):
+        for seed in range(200):
+            partners = sample_partners(n, np.random.default_rng(seed))
+            ids = np.arange(n)
+            lo, hi = np.minimum(ids, partners), np.maximum(ids, partners)
+            expected = np.unique(np.stack([lo, hi], axis=1), axis=0)
+            links = sample_partner_links(n, np.random.default_rng(seed))
+            assert links.dtype == np.int64
+            np.testing.assert_array_equal(links, expected)
 
     def test_link_count_bounds(self, rng):
         # n picks collapse to between n/2 (all mutual) and n links.

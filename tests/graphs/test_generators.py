@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators as g
+from repro.graphs.topology import Topology
 
 
 class TestPathCycle:
@@ -61,6 +62,16 @@ class TestGridTorus:
         assert t.n == 20
         assert set(t.degrees.tolist()) == {4}
         assert t.m == 2 * 20
+
+    @pytest.mark.parametrize("rows,cols", [(3, 3), (3, 4), (5, 7), (16, 16)])
+    def test_torus_equals_per_node_edge_list(self, rows, cols):
+        # Reference: each node links right and down, with wraparound.
+        edges = []
+        for r in range(rows):
+            for c in range(cols):
+                edges.append((r * cols + c, r * cols + (c + 1) % cols))
+                edges.append((r * cols + c, ((r + 1) % rows) * cols + c))
+        assert g.torus_2d(rows, cols) == Topology(rows * cols, edges)
 
     def test_torus_minimum_dims(self):
         with pytest.raises(ValueError):

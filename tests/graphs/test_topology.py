@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, _canonicalize_edges
 
 
 class TestConstruction:
@@ -50,6 +50,21 @@ class TestConstruction:
         t = Topology(3, [(0, 1)])
         with pytest.raises(ValueError):
             t.edges[0, 0] = 2
+
+    def test_ndarray_edges_match_list_edges(self):
+        pairs = [(3, 1), (0, 2), (1, 3), (2, 0), (0, 1)]
+        assert Topology(4, np.asarray(pairs)) == Topology(4, pairs)
+        assert Topology(4, np.asarray(pairs, dtype=np.int32)) == Topology(4, pairs)
+
+    @pytest.mark.parametrize("n", [3_037_000_499, 2**32])
+    def test_canonical_edges_at_key_overflow_boundary(self, n):
+        # The largest n with n * n < 2**63 sorts the 1-D key u * n + v;
+        # at n = 2**32 that key would overflow int64, so rows are sorted
+        # instead.  Both give the same canonical array.
+        arr = np.asarray([[n - 1, n - 2], [0, n - 1], [n - 2, n - 1], [1, 0], [n - 1, 0]])
+        np.testing.assert_array_equal(
+            _canonicalize_edges(n, arr), [[0, 1], [0, n - 1], [n - 2, n - 1]]
+        )
 
 
 class TestDegrees:

@@ -12,7 +12,7 @@ from repro.graphs.spectral import (
     laplacian_eigenvalues,
     laplacian_matrix,
 )
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, _canonicalize_edges
 
 
 @st.composite
@@ -109,3 +109,28 @@ def test_partner_links_structure(n, seed):
     deg = link_degrees(n, links)
     assert (deg >= 1).all()
     assert n / 2 <= links.shape[0] <= n
+
+
+@st.composite
+def edge_list_with_repeats(draw):
+    """``(n, pairs)``: random pairs plus repeated and reversed copies, shuffled."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=60))
+    extra = []
+    if pairs:
+        for (u, v), flip in draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=40)):
+            extra.append((v, u) if flip else (u, v))
+    return n, draw(st.permutations(pairs + extra))
+
+
+@given(edge_list_with_repeats(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_canonical_edges_match_row_unique_reference(case, as_array):
+    n, pairs = case
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
+    expected = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    got = _canonicalize_edges(n, arr if as_array else pairs)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got.reshape(-1, 2), expected)

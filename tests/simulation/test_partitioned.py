@@ -7,7 +7,9 @@ discrete), FOS, P in {2, 4, 7}, both partition strategies, and dynamic
 topologies whose cut set changes between rounds.
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -363,6 +365,21 @@ class TestBlockLocal:
         start_g = M.indptr[part.owned[1][0]]
         assert rows.data[0] == M.data[start_g]
         assert rows.shape == (loc.n_owned, loc.n_ext)
+
+    def test_caches_freed_without_cyclic_collector(self):
+        # Operators and partitions are cached on their topology; none of
+        # them may refer back to it, or every dropped run leaves its
+        # arrays to the cyclic collector (peak memory grows per run).
+        topo = torus_2d(4, 4)
+        part = make_partition(topo, 2)
+        loc = block_local(part, 0)
+        refs = [weakref.ref(obj) for obj in (part, loc, loc.op)]
+        gc.disable()
+        try:
+            del topo, part, loc
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_out_of_range_block_rejected(self):
         part = make_partition(torus_2d(4, 4), 2)
