@@ -73,6 +73,12 @@ from repro.distributed.transport import (
     tcp_connect,
 )
 from repro.simulation.ensemble import EnsembleTrace
+from repro.simulation.partitioned import (
+    PartitionedSimulator,
+    assemble_slabs,
+    block_jobs,
+    decode_chunk,
+)
 from repro.simulation.stopping import StoppingRule
 
 __all__ = [
@@ -321,8 +327,7 @@ def _handshake(channel: Channel, timeout: float, authkey: bytes | None,
     first reply arrives, hence the pre-received ``challenge=``
     pass-through); a keyed dispatcher then counter-challenges so both
     sides prove possession before any job bytes flow.  ``stats_interval``
-    opts into the worker's periodic progress frames — a free-form opts
-    key, so a worker that predates it simply ignores the request.
+    opts into the worker's periodic progress frames.
     """
     opts: dict = {}
     if heartbeat:
@@ -331,7 +336,7 @@ def _handshake(channel: Channel, timeout: float, authkey: bytes | None,
         opts["stats"] = float(stats_interval)
     if authkey is not None:
         opts["auth"] = True
-    channel.send(("hello", PROTOCOL_VERSION, opts) if opts else ("hello", PROTOCOL_VERSION))
+    channel.send(("hello", PROTOCOL_VERSION, opts))
     reply = channel.recv(timeout)
     if isinstance(reply, tuple) and reply and reply[0] == "auth-challenge":
         if authkey is None:
@@ -478,7 +483,7 @@ class _RemoteBlockExecutor:
     matrix at round boundaries (a ``gather`` every N rounds) and keeps a
     replay log of the ``(chunk, frozen)`` commands issued since.  When a
     worker dies mid-chunk it reconnects to the survivors, re-places all
-    blocks over them, re-ships block state from the snapshot (payloads
+    blocks over them, re-ships block state from the snapshot (block jobs
     carry ``start_round`` so dynamic topologies replay identically),
     silently replays the logged chunks to rebuild worker-side state, and
     re-runs the failed chunk — bit-for-bit with the serial engines,
@@ -499,7 +504,6 @@ class _RemoteBlockExecutor:
         self.assignment = assignment
         self.P = int(assignment.max()) + 1
         self.owned = [np.flatnonzero(assignment == p) for p in range(self.P)]
-        self.block_order = list(range(self.P))
         self.addresses = [h.address for h in handles]
         self._authkey = handles[0].authkey if handles else None
         self._heartbeat = handles[0].heartbeat if handles else None
@@ -507,9 +511,6 @@ class _RemoteBlockExecutor:
             handles[0].miss_budget if handles else DEFAULT_HEARTBEAT_MISS_BUDGET
         )
         self._stats_interval = handles[0].stats_interval if handles else None
-        # Captured once: whether chunk replies should carry per-phase
-        # trace events back for this process's recorder to merge.
-        self._telemetry = get_recorder().enabled
         self.checkpoint_every = int(checkpoint_every) if checkpoint_every else None
         self.retry_budget = retry_budget
         self.retries = 0
@@ -521,7 +522,7 @@ class _RemoteBlockExecutor:
         self._ckpt_L = np.array(L, copy=True)
         self._replay: list[tuple[int, object]] = []
         self.handles = list(handles)
-        self._block_host: dict[int, str] = {}
+        self._block_host: list[str] = []
         try:
             self._ship(self.handles, self._ckpt_L, 0)
         except _WorkerDied as exc:
@@ -536,8 +537,6 @@ class _RemoteBlockExecutor:
         self.blocks_of = {
             w: [p for p in range(P) if self.worker_of[p] == w] for w in range(W)
         }
-        want_disc = sim._record_disc()
-        want_mov = sim.record == "full"
         # Fresh per-job nonce: peer-link headers are signed against it,
         # so a stale (replayed) link header from an earlier mesh cannot
         # attach to this job's halo exchange.
@@ -557,29 +556,13 @@ class _RemoteBlockExecutor:
                     # the accepting worker's advertised peer port.
                     links[wa][a][b] = ("accept",)
                     links[wb][b][a] = ("connect", handles[wa].peer_address)
+        jobs = block_jobs(sim, L, self.assignment, self.owned, start_round)
         specs = []
         for w in range(W):
-            payloads = {
-                p: (
-                    sim.balancer,
-                    self.assignment,
-                    sim.strategy,
-                    p,
-                    L[self.owned[p]],
-                    sim.backend,
-                    want_disc,
-                    want_mov,
-                    getattr(sim, "overlap", False),
-                    getattr(sim, "delta_frames", False),
-                    start_round,
-                    self._telemetry,
-                )
-                for p in self.blocks_of[w]
-            }
             spec = {
                 "kind": "partition",
                 "blocks": self.blocks_of[w],
-                "payloads": payloads,
+                "jobs": {p: jobs[p] for p in self.blocks_of[w]},
                 "local_pairs": local_pairs[w],
                 "links": links[w],
                 "timeout": self.timeout,
@@ -598,9 +581,7 @@ class _RemoteBlockExecutor:
                     handle,
                     f"worker {handle.label}: expected mesh-ok, got {reply[0]!r}",
                 )
-        self._block_host = {
-            p: handles[self.worker_of[p]].label for p in range(P)
-        }
+        self._block_host = [handles[self.worker_of[p]].label for p in range(P)]
 
     # -- channel plumbing -----------------------------------------------
     def _send(self, handle: WorkerHandle, msg) -> None:
@@ -677,7 +658,7 @@ class _RemoteBlockExecutor:
             if not survivors:
                 detail = f"no reachable workers during recovery ({detail})"
                 continue
-            prev_host = dict(self._block_host)
+            prev_host = self._block_host
             self.handles = survivors
             try:
                 self._ship(survivors, self._ckpt_L, self._ckpt_round)
@@ -686,10 +667,7 @@ class _RemoteBlockExecutor:
             except _WorkerDied as exc2:
                 detail = exc2.detail
                 continue
-            moved = sum(
-                1 for p, host in self._block_host.items()
-                if prev_host.get(p) != host
-            )
+            moved = sum(1 for a, b in zip(prev_host, self._block_host) if a != b)
             self.requeued_blocks += moved
             _logger.warning(
                 "partitioned recovery succeeded: %d block(s) re-placed over "
@@ -745,29 +723,13 @@ class _RemoteBlockExecutor:
         return per_round, halo_values, link_bytes
 
     def _run_subchunk(self, chunk: int, frozen) -> tuple[list[list], int, dict[str, int]]:
-        replies = self._ask_all(("run", chunk, frozen))
         by_block: dict[int, tuple] = {}
-        for reply in replies:
+        for reply in self._ask_all(("run", chunk, frozen)):
             by_block.update(reply[1])
-        per_round = [
-            [by_block[p][0][i] for p in self.block_order] for i in range(chunk)
-        ]
-        halo_values = sum(by_block[p][1] for p in self.block_order)
-        link_bytes = {
-            f"{p}->{q}": nbytes
-            for p in self.block_order
-            for q, nbytes in by_block[p][2].items()
-        }
-        if self._telemetry:
-            # Merge each block's shipped phase events into this process's
-            # trace, labelled with the worker that hosted the block —
-            # this is what makes the dispatcher-side trace cluster-wide.
-            rec = get_recorder()
-            for p in self.block_order:
-                rep = by_block[p]
-                if len(rep) > 3 and rep[3]:
-                    rec.ingest(rep[3], worker=self._block_host.get(p, "?"))
-        return per_round, halo_values, link_bytes
+        # Each block's shipped phase events merge into this process's
+        # trace labelled with the worker that hosted the block — this is
+        # what makes the dispatcher-side trace cluster-wide.
+        return decode_chunk([by_block[p] for p in range(self.P)], chunk, self._block_host)
 
     def gather(self) -> np.ndarray:
         if not self.checkpoint_every:
@@ -778,14 +740,11 @@ class _RemoteBlockExecutor:
         return self._guarded(self._gather_once)
 
     def _gather_once(self) -> np.ndarray:
-        replies = self._ask_all(("gather",))
         by_block: dict[int, np.ndarray] = {}
-        for reply in replies:
+        for reply in self._ask_all(("gather",)):
             by_block.update(reply[1])
-        full = np.empty((self.B, self.n), dtype=by_block[self.block_order[0]].dtype)
-        for p in self.block_order:
-            full[:, self.owned[p]] = by_block[p].T
-        return full
+        return assemble_slabs([by_block[p] for p in range(self.P)], self.owned,
+                              self.B, self.n)
 
     def close(self) -> None:
         # Best effort: a clean run stops the block threads and leaves the
@@ -842,8 +801,6 @@ def dispatch_partitioned(
     ``halo_stats`` with the worker roster, per-link/control traffic
     counters, and recovery counters (``retries``, ``requeued_blocks``).
     """
-    from repro.simulation.partitioned import PartitionedSimulator
-
     handles, own = _resolve_handles(
         workers, timeout, tcp_options,
         authkey=authkey, heartbeat=heartbeat, miss_budget=miss_budget,
@@ -1050,7 +1007,7 @@ def dispatch_sharded(
 
     def _assign(handle: WorkerHandle, st: dict, idxs: list[int]) -> None:
         handle.channel.send(
-            ("job", {"kind": "shard", "payloads": [(i, payloads[i]) for i in idxs]})
+            ("job", {"kind": "shard", "jobs": [(i, payloads[i]) for i in idxs]})
         )
         st["inflight"] = list(idxs)
         st["idle"] = False

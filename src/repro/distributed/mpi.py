@@ -32,6 +32,11 @@ from repro.distributed.transport import (
     _require_mpi,
     have_mpi,
 )
+from repro.simulation.partitioned import (
+    PartitionedSimulator,
+    _ChannelBlockExecutor,
+    block_jobs,
+)
 
 __all__ = [
     "mpi_available",
@@ -56,103 +61,46 @@ def _ctrl_channel(comm, peer_rank: int) -> MpiChannel:
     return MpiChannel(comm, peer_rank, send_tag=CTRL_TAG)
 
 
-class _MpiBlockExecutor:
+class _MpiBlockExecutor(_ChannelBlockExecutor):
     """Block executor over MPI ranks (rank 0 side of the seam).
 
     Block ``p`` lives on rank ``p + 1``.  The constructor ships each
-    rank its payload over the control channel — message order per
-    (source, tag) pair is MPI-guaranteed, so no mesh barrier is needed:
-    halo links are plain ``(comm, rank, tag)`` triples that exist as
-    soon as both ends construct their channel objects.  Ranks beyond
-    ``P + 1`` are told to idle out immediately.
+    rank its :class:`~repro.simulation.partitioned.BlockJob` over the
+    control channel — message order per (source, tag) pair is
+    MPI-guaranteed, so no mesh barrier is needed: halo links are plain
+    ``(comm, rank, tag)`` triples that exist as soon as both ends
+    construct their channel objects.  Ranks beyond ``P + 1`` are told to
+    idle out immediately.
     """
 
     def __init__(self, sim, L: np.ndarray, B: int, assignment: np.ndarray, comm):
-        self.B = B
-        self.n = L.shape[0]
-        P = int(assignment.max()) + 1
+        super().__init__(L, B, assignment)
+        P = self.P
         size = comm.Get_size()
         if size < P + 1:
-            # Raised before any payload ships; run_partitioned_mpi's
+            # Raised before any job ships; run_partitioned_mpi's
             # failure path idles the waiting ranks out.
             raise TransportError(
                 f"{P} blocks need {P + 1} MPI ranks (coordinator + one per "
                 f"block), got {size}; re-run under mpiexec -n {P + 1}"
             )
-        self.P = P
-        self.owned = [np.flatnonzero(assignment == p) for p in range(P)]
-        want_disc = sim._record_disc()
-        want_mov = sim.record == "full"
         self.conns = [_ctrl_channel(comm, p + 1) for p in range(P)]
+        self.names = [f"rank{p + 1}" for p in range(P)]
         self._spare = [_ctrl_channel(comm, r) for r in range(P + 1, size)]
         for ch in self._spare:
             ch.send(("idle",))
-        for p, ch in enumerate(self.conns):
-            payload = (
-                sim.balancer,
-                assignment,
-                sim.strategy,
-                p,
-                L[self.owned[p]],
-                sim.backend,
-                want_disc,
-                want_mov,
-                getattr(sim, "overlap", False),
-                getattr(sim, "delta_frames", False),
-            )
-            ch.send(("block", payload))
+        for ch, job in zip(self.conns, block_jobs(sim, L, assignment, self.owned)):
+            ch.send(("block", job))
 
-    def _ask_all(self, msg) -> list:
-        for c in self.conns:
-            c.send(msg)
-        replies = []
-        for p, c in enumerate(self.conns):
-            try:
-                rep = c.recv()
-            except TransportError as exc:
-                raise RuntimeError(f"block rank {p + 1} died: {exc}") from exc
-            if rep[0] == "error":
-                raise RuntimeError(f"block rank {p + 1} failed: {rep[1]}")
-            replies.append(rep)
-        return replies
-
-    # -- executor interface (see simulation.partitioned) ---------------
-    def run_chunk(self, chunk: int, frozen) -> tuple[list[list], int, dict[str, int]]:
-        replies = self._ask_all(("run", chunk, frozen))
-        per_round = [[rep[1][i] for rep in replies] for i in range(chunk)]
-        halo_values = sum(rep[2] for rep in replies)
-        link_bytes = {
-            f"{p}->{q}": nbytes
-            for p, rep in enumerate(replies)
-            for q, nbytes in rep[3].items()
-        }
-        return per_round, halo_values, link_bytes
-
-    def gather(self) -> np.ndarray:
-        replies = self._ask_all(("gather",))
-        full = np.empty((self.B, self.n), dtype=replies[0][1].dtype)
-        for ids, rep in zip(self.owned, replies):
-            full[:, ids] = rep[1].T
-        return full
-
-    def close(self) -> None:
-        for c in self.conns:
-            try:
-                c.send(("stop",))
-            except TransportError:  # pragma: no cover - rank already gone
-                pass
-        for c in self.conns + self._spare:
+    def _reap(self) -> None:
+        for c in self._spare:
             c.close()
-
-    def control_traffic(self) -> dict[str, dict[str, int]]:
-        """Per-block-rank control-link byte counters (rank 0's side)."""
-        return {f"rank{p + 1}": c.traffic() for p, c in enumerate(self.conns)}
 
 
 def serve_block_rank(comm, *, timeout: float | None = None) -> None:
     """Nonzero-rank entry point: host one block (or idle out).
 
-    Waits for rank 0's ``("block", payload)`` assignment, builds halo
+    Waits for rank 0's ``("block", job)`` assignment, builds halo
     channels to every peer block's rank, and hands control to the same
     :func:`~repro.distributed.worker.run_block_loop` the process and
     remote-worker modes run.  ``("idle",)`` — sent to surplus ranks and
@@ -168,15 +116,14 @@ def serve_block_rank(comm, *, timeout: float | None = None) -> None:
     if msg[0] != "block":  # pragma: no cover - defensive
         ctrl.close()
         raise TransportError(f"expected a block assignment, got {msg[0]!r}")
-    payload = msg[1]
-    assignment, block_id = payload[1], payload[3]
-    P = int(assignment.max()) + 1
+    job = msg[1]
+    P = int(job.assignment.max()) + 1
     peers = {
         q: MpiChannel(comm, q + 1, send_tag=HALO_TAG)
         for q in range(P)
-        if q != block_id
+        if q != job.block_id
     }
-    run_block_loop(ctrl, peers, payload, peer_timeout=timeout)
+    run_block_loop(ctrl, peers, job, peer_timeout=timeout)
 
 
 def run_partitioned_mpi(
@@ -203,8 +150,6 @@ def run_partitioned_mpi(
     with ``stats`` extending ``halo_stats`` with the rank roster and
     control-traffic counters; block ranks return ``None`` after serving.
     """
-    from repro.simulation.partitioned import PartitionedSimulator
-
     MPI = _require_mpi()
     if comm is None:
         comm = MPI.COMM_WORLD
@@ -236,9 +181,9 @@ def run_partitioned_mpi(
         trace = sim.run_with_executor(loads, replicas, factory)
     except Exception:
         if not executor_box:
-            # The failure predates payload shipping (bad arguments, an
+            # The failure predates job shipping (bad arguments, an
             # unpartitionable balancer): idle the block ranks out so the
-            # job exits instead of hanging in their payload recv.
+            # job exits instead of hanging in their job recv.
             size = comm.Get_size()
             for r in range(1, size):
                 ch = _ctrl_channel(comm, r)

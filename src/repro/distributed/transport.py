@@ -186,8 +186,12 @@ __all__ = [
 #: delta-frame flags; version 4 added the hello options dict (heartbeat
 #: interval, auth announcement), the HMAC challenge–response, signed
 #: peer-link headers, and the ``start_round`` block-payload field that
-#: checkpoint replay resumes from.
-PROTOCOL_VERSION = 4
+#: checkpoint replay resumes from; version 5 replaced the positional
+#: block and shard payload tuples with the named ``BlockJob`` and
+#: ``ShardJob`` (job-spec key ``"jobs"``), made every block chunk reply
+#: ``("stats", rows, halo_values, bytes_by_peer, events)``, and requires
+#: the hello to carry its options dict.
+PROTOCOL_VERSION = 5
 
 #: Channel backends that are always available (the core ``transport=``
 #: choices).  ``mpi`` joins via :func:`available_transports` when

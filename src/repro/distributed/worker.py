@@ -2,17 +2,19 @@
 
 Three layers share this module:
 
-- :func:`run_block_loop` — the persistent partition-block worker (PR 4's
-  pipe worker, refactored onto the :mod:`~repro.distributed.transport`
-  seam).  It owns one ``(n_block, B)`` slab, exchanges halos peer-to-peer
-  through whatever :class:`~repro.distributed.transport.Channel` objects
-  it is handed (pipes on one host, TCP across hosts, loopback between
-  two blocks in one process), and streams per-round statistic partials
-  back to its coordinator.
+- :func:`run_block_loop` — the persistent partition-block worker.  It
+  runs one :class:`~repro.simulation.partitioned.BlockJob`: owns its
+  ``(n_block, B)`` slab, exchanges halos peer-to-peer through whatever
+  :class:`~repro.distributed.transport.Channel` objects it is handed
+  (socketpairs on one host, TCP across hosts, loopback between two
+  blocks in one process, MPI between ranks), and streams per-round
+  statistic partials back to its coordinator.  :class:`_SlabRunner` is
+  its round driver: one round body for the sync and overlap schedules,
+  traced or not.
 - :func:`shard_process_main` — the replica-shard worker behind
   :func:`~repro.simulation.sharding.run_sharded_ensemble`: receive one
-  pickled shard payload, run it through a process-local ensemble, send
-  the trace back.
+  :class:`~repro.simulation.sharding.ShardJob`, run it through a
+  process-local ensemble, send the trace back.
 - :func:`serve` — the ``repro-lb worker`` server: a rendezvous endpoint
   that accepts dispatcher connections, answers the hello handshake, and
   executes partition or shard jobs.  A worker can host *several* blocks
@@ -60,9 +62,10 @@ from repro.distributed.transport import (
     tcp_connect,
     verify_link,
 )
+from repro.simulation.partitioned import BlockJob, _PartitionMemo, _partial_stats, block_local
+from repro.simulation.sharding import run_shard_payload
 
 __all__ = [
-    "exchange_halos",
     "run_block_loop",
     "shard_process_main",
     "serve",
@@ -72,42 +75,8 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Halo exchange + block loop (any Channel implementation)
+# Block loop (any Channel implementation)
 # ----------------------------------------------------------------------
-def exchange_halos(local, owned: np.ndarray, peers: dict[int, Channel],
-                   timeout: float | None = None) -> tuple[np.ndarray, int]:
-    """Peer-to-peer halo exchange; returns the extended matrix + values sent.
-
-    Deadlock-free pairwise protocol: links are walked in ascending peer
-    order and the lower-id side of each pair sends before it receives.
-    The lowest-id block can always complete its first exchange, and by
-    induction every pair drains (at most one in-flight direction per
-    pair at any time).  The protocol only needs ordered, message-framed
-    channels — the transport seam's contract — so it is identical over
-    pipes, TCP and loopback queues.
-
-    This is the standalone, allocation-per-call form of the exchange;
-    :class:`_SlabRunner` is the persistent-slab round driver the block
-    loop actually runs on.
-    """
-    ghost = np.empty((local.n_ghost,) + owned.shape[1:], dtype=owned.dtype)
-    sent = 0
-    width = int(np.prod(owned.shape[1:], dtype=np.int64)) if owned.ndim > 1 else 1
-    for link in local.links:
-        ch = peers[link.peer]
-        # Fancy indexing already yields a fresh C-contiguous array, so the
-        # send side needs no extra copy.
-        if local.p < link.peer:
-            ch.send(owned[link.send_idx])
-            ghost[link.recv_idx] = ch.recv(timeout)
-        else:
-            chunk = ch.recv(timeout)
-            ch.send(owned[link.send_idx])
-            ghost[link.recv_idx] = chunk
-        sent += int(link.send_idx.size) * width
-    return np.concatenate([owned, ghost], axis=0), sent
-
-
 class _SlabRunner:
     """Persistent extended-slab round driver for one block worker.
 
@@ -119,8 +88,13 @@ class _SlabRunner:
 
     Two round protocols, bit-for-bit identical results:
 
-    - *sync* (default): the classic pairwise ordered exchange (lower
-      block id sends first), then one full ``block_step``.
+    - *sync* (default): the classic pairwise ordered exchange, then one
+      full ``block_step``.  Links are walked in ascending peer order and
+      the lower-id side of each pair sends before it receives: the
+      lowest-id block can always complete its first exchange, and by
+      induction every pair drains.  The protocol only needs ordered,
+      message-framed channels, so it is identical over pipes, TCP and
+      loopback queues.
     - *overlap*: post every link's send with :meth:`Channel.send_nowait`,
       compute the interior rows (owned-only operator support — ghost
       staleness cannot reach them), drain the receives into the ghost
@@ -134,6 +108,14 @@ class _SlabRunner:
     ``("delta", vals, idx)`` frame when that is smaller than the dense
     payload.  Snapshots reset whenever the block's :class:`BlockLocal`
     changes (dynamic topologies), falling back to dense frames.
+
+    Tracing: with :attr:`recorder` set, every link send and receive
+    records a ``halo_send``/``halo_wait`` span carrying the link and its
+    frame-byte delta, and the compute phases record ``interior`` and
+    ``boundary`` spans (sync mode's single full ``block_step`` is booked
+    as ``interior``).  The spans only read clocks and counters, so the
+    arithmetic, buffers and message order are those of an untraced
+    round.
     """
 
     def __init__(self, peers: dict[int, Channel], *, overlap: bool = False,
@@ -144,7 +126,7 @@ class _SlabRunner:
         self.timeout = timeout
         #: logical halo values shipped (sum of send rows x batch width)
         self.halo_values = 0
-        #: set (with an enabled Recorder) before using :meth:`round_traced`
+        #: an enabled Recorder turns on the per-phase spans
         self.recorder: Recorder | None = None
         self._local = None
         self._cur: np.ndarray | None = None
@@ -183,6 +165,9 @@ class _SlabRunner:
 
     def _post_send(self, link, owned: np.ndarray, r: int, blocking: bool) -> None:
         ch = self.peers[link.peer]
+        rec = self.recorder
+        if rec is not None:
+            b0, t0 = ch.bytes_sent, perf_counter()
         rows = owned[link.send_idx]  # fresh contiguous copy
         self.halo_values += int(link.send_idx.size) * int(
             np.prod(rows.shape[1:], dtype=np.int64)
@@ -204,11 +189,18 @@ class _SlabRunner:
             ch.send(payload)
         else:
             ch.send_nowait(payload)
+        if rec is not None:
+            rec.record_span("halo_send", t0, round=r, link=f"{self._local.p}->{link.peer}",
+                            bytes=ch.bytes_sent - b0)
 
-    def _drain_recv(self, link) -> None:
+    def _drain_recv(self, link, r: int) -> None:
+        ch = self.peers[link.peer]
+        rec = self.recorder
+        if rec is not None:
+            b0, t0 = ch.bytes_received, perf_counter()
         a, b = self._local.recv_slices[link.peer]
         region = self._cur[self._local.n_owned + a : self._local.n_owned + b]
-        msg = self.peers[link.peer].recv_into(region, self.timeout)
+        msg = ch.recv_into(region, self.timeout)
         if msg[0] == "dense":
             arr = msg[1]
             if not np.shares_memory(arr, region):
@@ -218,119 +210,50 @@ class _SlabRunner:
             region[idx] = vals.reshape((idx.size,) + region.shape[1:])
         else:  # pragma: no cover - defensive
             raise TransportError(f"unexpected halo frame tag {msg[0]!r}")
+        if rec is not None:
+            rec.record_span("halo_wait", t0, round=r, link=f"{link.peer}->{self._local.p}",
+                            bytes=ch.bytes_received - b0)
 
     def round(self, local, balancer, frozen, r: int,
               want_disc: bool, want_mov: bool):
         """Advance one round; returns the round's statistics partial."""
         self.bind(local)
-        cur, nxt = self._cur, self._nxt
-        owned = cur[: local.n_owned]
-        out = nxt[: local.n_owned]
-        if self.overlap:
-            for link in local.links:
-                self._post_send(link, owned, r, blocking=False)
-            if local.interior.size:
-                balancer.block_step(local, cur, out=out, rows="interior")
-            for link in local.links:
-                self._drain_recv(link)
-            if local.boundary.size:
-                balancer.block_step(local, cur, out=out, rows="boundary")
-        else:
-            for link in local.links:
-                if local.p < link.peer:
-                    self._post_send(link, owned, r, blocking=True)
-                    self._drain_recv(link)
-                else:
-                    self._drain_recv(link)
-                    self._post_send(link, owned, r, blocking=True)
-            balancer.block_step(local, cur, out=out)
-        if frozen is not None and frozen.any():
-            out[:, frozen] = owned[:, frozen]
-        from repro.simulation.partitioned import _partial_stats
-
-        stats = _partial_stats(out, owned, want_disc, want_mov)
-        self._cur, self._nxt = nxt, cur
-        return stats
-
-    def round_traced(self, local, balancer, frozen, r: int,
-                     want_disc: bool, want_mov: bool):
-        """:meth:`round` with per-phase spans on :attr:`recorder`.
-
-        A separate sibling (selected once per job, not per round) so the
-        untraced hot path stays byte-identical to before telemetry
-        existed.  Records ``halo_send``/``halo_wait`` per link (with the
-        link's frame-byte delta), plus ``interior``/``boundary`` compute
-        spans — sync mode's single full ``block_step`` is recorded as
-        ``interior``, since no boundary split exists there.  Arithmetic,
-        buffers and message ordering are identical to :meth:`round`, so
-        results stay bit-for-bit equal with tracing on or off.
-        """
         rec = self.recorder
-        self.bind(local)
         cur, nxt = self._cur, self._nxt
         owned = cur[: local.n_owned]
         out = nxt[: local.n_owned]
-        p = local.p
         if self.overlap:
             for link in local.links:
-                ch = self.peers[link.peer]
-                b0 = ch.bytes_sent
-                t0 = perf_counter()
                 self._post_send(link, owned, r, blocking=False)
-                rec.record_span("halo_send", t0, round=r,
-                                link=f"{p}->{link.peer}", bytes=ch.bytes_sent - b0)
-            t0 = perf_counter()
+            if rec is not None:
+                t0 = perf_counter()
             if local.interior.size:
                 balancer.block_step(local, cur, out=out, rows="interior")
-            rec.record_span("interior", t0, round=r, rows=int(local.interior.size))
+            if rec is not None:
+                rec.record_span("interior", t0, round=r, rows=int(local.interior.size))
             for link in local.links:
-                ch = self.peers[link.peer]
-                b0 = ch.bytes_received
+                self._drain_recv(link, r)
+            if rec is not None:
                 t0 = perf_counter()
-                self._drain_recv(link)
-                rec.record_span("halo_wait", t0, round=r,
-                                link=f"{link.peer}->{p}",
-                                bytes=ch.bytes_received - b0)
-            t0 = perf_counter()
             if local.boundary.size:
                 balancer.block_step(local, cur, out=out, rows="boundary")
-            rec.record_span("boundary", t0, round=r, rows=int(local.boundary.size))
+            if rec is not None:
+                rec.record_span("boundary", t0, round=r, rows=int(local.boundary.size))
         else:
             for link in local.links:
-                ch = self.peers[link.peer]
                 if local.p < link.peer:
-                    b0 = ch.bytes_sent
-                    t0 = perf_counter()
                     self._post_send(link, owned, r, blocking=True)
-                    rec.record_span("halo_send", t0, round=r,
-                                    link=f"{p}->{link.peer}",
-                                    bytes=ch.bytes_sent - b0)
-                    b0 = ch.bytes_received
-                    t0 = perf_counter()
-                    self._drain_recv(link)
-                    rec.record_span("halo_wait", t0, round=r,
-                                    link=f"{link.peer}->{p}",
-                                    bytes=ch.bytes_received - b0)
+                    self._drain_recv(link, r)
                 else:
-                    b0 = ch.bytes_received
-                    t0 = perf_counter()
-                    self._drain_recv(link)
-                    rec.record_span("halo_wait", t0, round=r,
-                                    link=f"{link.peer}->{p}",
-                                    bytes=ch.bytes_received - b0)
-                    b0 = ch.bytes_sent
-                    t0 = perf_counter()
+                    self._drain_recv(link, r)
                     self._post_send(link, owned, r, blocking=True)
-                    rec.record_span("halo_send", t0, round=r,
-                                    link=f"{p}->{link.peer}",
-                                    bytes=ch.bytes_sent - b0)
-            t0 = perf_counter()
+            if rec is not None:
+                t0 = perf_counter()
             balancer.block_step(local, cur, out=out)
-            rec.record_span("interior", t0, round=r, rows=int(local.n_owned))
+            if rec is not None:
+                rec.record_span("interior", t0, round=r, rows=int(local.n_owned))
         if frozen is not None and frozen.any():
             out[:, frozen] = owned[:, frozen]
-        from repro.simulation.partitioned import _partial_stats
-
         stats = _partial_stats(out, owned, want_disc, want_mov)
         self._cur, self._nxt = nxt, cur
         return stats
@@ -341,34 +264,26 @@ class _SlabRunner:
             ch.flush(self.timeout)
 
 
-def run_block_loop(ctrl: Channel, peers: dict[int, Channel], payload: tuple,
+def run_block_loop(ctrl: Channel, peers: dict[int, Channel], job: BlockJob,
                    peer_timeout: float | None = None,
                    inherited: list[Channel] | None = None,
                    progress: "WorkerProgress | None" = None) -> None:
     """Persistent block worker: owns one ``(n_block, B)`` slab.
 
-    Commands (from the coordinator): ``("run", rounds, frozen_mask)``
-    advances ``rounds`` rounds — halo exchange peer-to-peer, one
-    statistics partial buffered per round — then replies
-    ``("stats", rows, halo_values_sent, bytes_by_peer)`` where
-    ``bytes_by_peer`` maps peer block id to payload bytes sent over that
-    link during the chunk; ``("gather",)`` replies with the owned slab;
-    ``("stop",)`` exits.  Any exception is reported as ``("error", msg)``
-    so the coordinator can fail loudly instead of hanging.
-
-    The payload tuple may carry trailing flags beyond the classic eight
-    fields: ``overlap`` (split-phase rounds with nonblocking sends),
-    ``delta`` (changed-rows halo frames), ``start_round`` (checkpoint
-    replay) and ``telemetry`` — when set, the block records per-phase
-    spans through a private buffering :class:`Recorder` and appends the
-    drained event list as a 5th element of the chunk reply (coordinators
-    that predate telemetry index only the first four, so the extra
-    element is backward-compatible).  ``progress``, when given, is this
-    worker's live :class:`WorkerProgress` aggregate for the periodic
-    stats frames.
+    Runs the :class:`~repro.simulation.partitioned.BlockJob` it is
+    handed.  Commands (from the coordinator): ``("run", rounds,
+    frozen_mask)`` advances ``rounds`` rounds — halo exchange
+    peer-to-peer, one statistics partial buffered per round — then
+    replies ``("stats", rows, halo_values_sent, bytes_by_peer, events)``
+    where ``bytes_by_peer`` maps peer block id to payload bytes sent over
+    that link during the chunk and ``events`` is the chunk's drained
+    per-phase trace events (``None`` unless ``job.telemetry``);
+    ``("gather",)`` replies with the owned slab; ``("stop",)`` exits.
+    Any exception is reported as ``("error", msg)`` so the coordinator
+    can fail loudly instead of hanging.  ``progress``, when given, is
+    this worker's live :class:`WorkerProgress` aggregate for the
+    periodic stats frames.
     """
-    from repro.simulation.partitioned import _PartitionMemo, block_local
-
     # Under the fork start method this process inherited a copy of every
     # endpoint the coordinator had created — including other blocks'.
     # Dropping the copies that are not ours restores EOF semantics: when
@@ -377,32 +292,24 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], payload: tuple,
     # instead of waiting forever.
     for channel in inherited or ():
         channel.detach()
-    (balancer, assignment, strategy, block_id, owned, backend,
-     want_disc, want_mov, *rest) = payload
-    overlap = bool(rest[0]) if len(rest) > 0 else False
-    delta = bool(rest[1]) if len(rest) > 1 else False
-    # Checkpoint replay resumes mid-run: the round counter must continue
-    # from the snapshot's round so dynamic topologies replay identically.
-    start_round = int(rest[2]) if len(rest) > 2 else 0
-    telemetry = bool(rest[3]) if len(rest) > 3 else False
+    balancer, block_id = job.balancer, job.block_id
     try:
         balancer.reset()
-        if backend is not None:
-            balancer.backend = backend
-        resolved = resolve_backend(backend)
-        parts = _PartitionMemo(assignment, strategy)
-        runner = _SlabRunner(peers, overlap=overlap, delta=delta, timeout=peer_timeout)
+        if job.backend is not None:
+            balancer.backend = job.backend
+        resolved = resolve_backend(job.backend)
+        parts = _PartitionMemo(job.assignment, job.strategy)
+        runner = _SlabRunner(peers, overlap=job.overlap, delta=job.delta,
+                             timeout=peer_timeout)
         rec: Recorder | None = None
-        if telemetry:
-            rec = Recorder(enabled=True, role=f"block:{block_id}",
-                           base={"block": block_id})
-            runner.recorder = rec
-        # Selected once per job, never per round: the untraced loop body
-        # is byte-identical to the pre-telemetry one.
-        do_round = runner.round_traced if telemetry else runner.round
-        L = np.ascontiguousarray(owned)
+        if job.telemetry:
+            rec = runner.recorder = Recorder(enabled=True, role=f"block:{block_id}",
+                                             base={"block": block_id})
+        L = np.ascontiguousarray(job.owned)
         bound = False
-        r = start_round
+        # Checkpoint replay resumes mid-run: the round counter continues
+        # from the snapshot's round so dynamic topologies replay identically.
+        r = job.start_round
         while True:
             msg = ctrl.recv()
             if msg[0] == "run":
@@ -417,8 +324,8 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], payload: tuple,
                     if not bound:
                         runner.bind(local, L)
                         bound = True
-                    rows.append(do_round(local, balancer, frozen, r,
-                                         want_disc, want_mov))
+                    rows.append(runner.round(local, balancer, frozen, r,
+                                             job.want_disc, job.want_mov))
                     r += 1
                 # Mandatory before going quiet: a peer may still be
                 # blocked on our last frame's unpumped backlog bytes.
@@ -426,7 +333,8 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], payload: tuple,
                 bytes_by_peer = {
                     q: ch.bytes_sent - sent_before[q] for q, ch in peers.items()
                 }
-                if telemetry:
+                events = None
+                if rec is not None:
                     # One count per chunk (not per send — the per-link
                     # breakdown is already on the halo_send spans): ships
                     # with the events, so every ingesting recorder up the
@@ -442,11 +350,8 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], payload: tuple,
                         grec.ingest(list(events))
                     if progress is not None:
                         progress.add_phase_totals(events)
-                    ctrl.send(("stats", rows, runner.halo_values - values_before,
-                               bytes_by_peer, events))
-                else:
-                    ctrl.send(("stats", rows, runner.halo_values - values_before,
-                               bytes_by_peer))
+                ctrl.send(("stats", rows, runner.halo_values - values_before,
+                           bytes_by_peer, events))
                 if progress is not None:
                     progress.add_rounds(nrounds, time.monotonic() - chunk_t0)
             elif msg[0] == "gather":
@@ -471,12 +376,9 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], payload: tuple,
 # Shard worker (local pool + remote jobs)
 # ----------------------------------------------------------------------
 def shard_process_main(channel: Channel) -> None:
-    """Pool-process entry point: one shard payload in, one trace out."""
-    from repro.simulation.sharding import run_shard_payload
-
+    """Pool-process entry point: one shard job in, one trace out."""
     try:
-        payload = channel.recv()
-        channel.send(("trace", run_shard_payload(payload)))
+        channel.send(("trace", run_shard_payload(channel.recv())))
     except Exception as exc:
         try:
             channel.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -730,8 +632,8 @@ def _stats_loop(ctrl: Channel, interval: float, stop: threading.Event,
     """Stream ``("stats", seq, snapshot)`` progress frames until stopped.
 
     The piggyback channel next to heartbeats: only started when the
-    dispatcher's hello opted in with ``{"stats": seconds}``, so peers
-    that never asked (protocol-4 dispatchers included) never see one.
+    dispatcher's hello opted in with ``{"stats": seconds}``, so
+    dispatchers that never asked never see one.
     Same nonblocking-send discipline as :func:`_heartbeat_loop`.
     """
     seq = 0
@@ -759,15 +661,15 @@ def _serve_connection(ctrl: Channel, peer_listener: TcpListener,
     or a job fails (:class:`_JobError` propagates and the caller drops
     the connection — its protocol state is suspect).
 
-    The hello may carry an options dict (protocol 4): ``{"heartbeat":
-    seconds}`` asks this worker to stream ``("hb", seq)`` frames at that
-    interval for liveness detection, ``{"stats": seconds}`` additionally
-    asks for periodic ``("stats", seq, snapshot)`` progress frames (a
-    free-form opts key, so no version bump — peers that do not send it
-    never receive one), and ``{"auth": True}`` announces that the
-    dispatcher holds an authkey and will challenge us after answering
-    ours.  A keyed worker always challenges; a keyed dispatcher talking
-    to a keyless worker is refused.
+    The hello is ``("hello", version, opts)``; a version mismatch or a
+    missing options dict is refused with an error frame.  In ``opts``,
+    ``{"heartbeat": seconds}`` asks this worker to stream ``("hb",
+    seq)`` frames at that interval for liveness detection, ``{"stats":
+    seconds}`` additionally asks for periodic ``("stats", seq,
+    snapshot)`` progress frames, and ``{"auth": True}`` announces that
+    the dispatcher holds an authkey and will challenge us after
+    answering ours.  A keyed worker always challenges; a keyed
+    dispatcher talking to a keyless worker is refused.
     """
     if jobs_started is None:
         jobs_started = [0]
@@ -783,7 +685,10 @@ def _serve_connection(ctrl: Channel, peer_listener: TcpListener,
              f"dispatcher sent {msg[1]}")
         )
         raise _JobError(f"protocol version mismatch ({msg[1]})")
-    opts = msg[2] if len(msg) > 2 and isinstance(msg[2], dict) else {}
+    if len(msg) != 3 or not isinstance(msg[2], dict):
+        ctrl.send(("error", f"hello must be ('hello', version, opts), got {msg!r}"))
+        raise _JobError(f"bad handshake: {msg!r}")
+    opts = msg[2]
     if authkey is not None:
         try:
             deliver_challenge(ctrl, authkey, timeout)
@@ -873,11 +778,9 @@ def _serve_connection(ctrl: Channel, peer_listener: TcpListener,
 def _run_shard_job(ctrl: Channel, spec: dict, timeout: float | None,
                    progress: WorkerProgress | None = None) -> None:
     """Run this worker's replica shards; stream each trace back."""
-    from repro.simulation.sharding import run_shard_payload
-
     try:
-        for idx, payload in spec["payloads"]:
-            ctrl.send(("trace", idx, run_shard_payload(payload)))
+        for idx, job in spec["jobs"]:
+            ctrl.send(("trace", idx, run_shard_payload(job)))
             if progress is not None:
                 progress.shard_done()
         ctrl.send(("done",))
@@ -978,7 +881,7 @@ def _run_partition_job(ctrl: Channel, peer_listener: TcpListener, spec: dict,
         block_ctrl[p] = main_end
         threads[p] = threading.Thread(
             target=run_block_loop,
-            args=(block_end, peers[p], spec["payloads"][p]),
+            args=(block_end, peers[p], spec["jobs"][p]),
             kwargs={"peer_timeout": job_timeout, "progress": progress},
             name=f"block-{p}",
             daemon=True,

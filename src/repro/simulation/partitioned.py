@@ -60,15 +60,20 @@ Execution modes
 The coordinator half of process mode is factored behind a small *block
 executor* seam (``run_chunk`` / ``gather`` / ``close``):
 :class:`_LocalProcessExecutor` drives forked per-block processes on this
-host, and :mod:`repro.distributed.dispatcher` plugs a remote executor
-into the **same** :meth:`PartitionedSimulator.run_with_executor` loop to
-span hosts — one statistics combine, one stopping policy, any transport.
+host, :mod:`repro.distributed.mpi` drives one block per MPI rank, and
+:mod:`repro.distributed.dispatcher` plugs a remote executor into the
+**same** :meth:`PartitionedSimulator.run_with_executor` loop to span
+hosts — one statistics combine, one stopping policy, any transport.
+All three ship the same :class:`BlockJob` (built by :func:`block_jobs`),
+receive the same chunk replies (decoded by :func:`decode_chunk`) and
+assemble gathers the same way (:func:`assemble_slabs`).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
 
@@ -84,7 +89,6 @@ from repro.core.operators import (
 )
 from repro.core.protocols import Balancer
 from repro.distributed.transport import TransportError, make_pair
-from repro.distributed.worker import run_block_loop
 from repro.graphs.partition import HaloLink, Partition, make_partition, parse_partitions
 from repro.simulation.ensemble import (
     EnsembleTrace,
@@ -94,7 +98,7 @@ from repro.simulation.ensemble import (
 )
 from repro.simulation.stopping import DiscrepancyBelow, MaxRounds, StoppingRule
 
-__all__ = ["BlockLocal", "PartitionedSimulator", "block_local"]
+__all__ = ["BlockJob", "BlockLocal", "PartitionedSimulator", "block_local"]
 
 _LOCALS_ATTR = "_block_locals"
 
@@ -513,15 +517,145 @@ def _combine_stats(partials: list[tuple], n: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Local process-mode block executor
+# The block-job contract (every block executor)
 # ----------------------------------------------------------------------
-class _LocalProcessExecutor:
+@dataclass(frozen=True)
+class BlockJob:
+    """Everything one block worker needs to run its block of a job.
+
+    ``owned`` is the block's initial ``(n_block, B)`` slab, ``overlap``
+    and ``delta`` select split-phase rounds and changed-rows halo frames,
+    ``start_round`` is the round counter to continue from (checkpoint
+    replay resumes mid-run, so dynamic topologies replay identically),
+    and ``telemetry`` makes the worker record per-phase spans and ship
+    them back with each chunk reply.
+    """
+
+    balancer: Balancer
+    assignment: np.ndarray
+    strategy: str
+    block_id: int
+    owned: np.ndarray
+    backend: str | None
+    want_disc: bool
+    want_mov: bool
+    overlap: bool
+    delta: bool
+    start_round: int
+    telemetry: bool
+
+
+def block_jobs(sim: "PartitionedSimulator", L: np.ndarray, assignment: np.ndarray,
+               owned: list[np.ndarray], start_round: int = 0) -> list[BlockJob]:
+    """One :class:`BlockJob` per block, slicing each block's rows of ``L``.
+
+    ``telemetry`` follows this process's recorder at call time.
+    """
+    telemetry = get_recorder().enabled
+    want_disc = sim._record_disc()
+    want_mov = sim.record == "full"
+    return [
+        BlockJob(sim.balancer, assignment, sim.strategy, p, L[ids], sim.backend,
+                 want_disc, want_mov, sim.overlap, sim.delta_frames, start_round,
+                 telemetry)
+        for p, ids in enumerate(owned)
+    ]
+
+
+def decode_chunk(replies: list[tuple], chunk: int,
+                 workers: list[str]) -> tuple[list[list], int, dict[str, int]]:
+    """Fold the blocks' chunk replies into the executor seam's result.
+
+    ``replies[p]`` is block ``p``'s ``(rows, halo_values, bytes_by_peer,
+    events)``.  Returns ``(per_round_partials, halo_values, link_bytes)``
+    and merges each block's shipped trace events (``None`` when
+    untraced) into this process's recorder, labelled ``workers[p]``.
+    """
+    per_round = [[rep[0][i] for rep in replies] for i in range(chunk)]
+    halo_values = sum(rep[1] for rep in replies)
+    link_bytes = {
+        f"{p}->{q}": nbytes
+        for p, rep in enumerate(replies)
+        for q, nbytes in rep[2].items()
+    }
+    for worker, rep in zip(workers, replies):
+        if rep[3]:
+            get_recorder().ingest(rep[3], worker=worker)
+    return per_round, halo_values, link_bytes
+
+
+def assemble_slabs(slabs: list[np.ndarray], owned: list[np.ndarray],
+                   B: int, n: int) -> np.ndarray:
+    """The replica-major ``(B, n)`` matrix from the blocks' owned slabs."""
+    full = np.empty((B, n), dtype=slabs[0].dtype)
+    for ids, slab in zip(owned, slabs):
+        full[:, ids] = slab.T
+    return full
+
+
+class _ChannelBlockExecutor:
+    """The block-executor seam over one control channel per block.
+
+    Subclasses start the blocks and fill :attr:`conns` and :attr:`names`
+    (one label per block, for diagnostics, ingested trace events and
+    :meth:`control_traffic`), in block order.  :meth:`_reap` releases
+    whatever else they hold once the blocks were told to stop.
+    """
+
+    def __init__(self, L: np.ndarray, B: int, assignment: np.ndarray):
+        self.B = B
+        self.n = L.shape[0]
+        self.P = int(assignment.max()) + 1
+        self.owned = [np.flatnonzero(assignment == p) for p in range(self.P)]
+        self.conns: list = []
+        self.names: list[str] = []
+
+    def _ask_all(self, msg) -> list[tuple]:
+        """Send ``msg`` to every block; their replies minus the tag."""
+        for c in self.conns:
+            c.send(msg)
+        replies = []
+        for p, c in enumerate(self.conns):
+            try:
+                rep = c.recv()
+            except TransportError as exc:
+                raise RuntimeError(f"block {p} ({self.names[p]}) died: {exc}") from exc
+            if rep[0] == "error":
+                raise RuntimeError(f"block {p} ({self.names[p]}) failed: {rep[1]}")
+            replies.append(rep[1:])
+        return replies
+
+    # -- executor interface -------------------------------------------
+    def run_chunk(self, chunk: int, frozen) -> tuple[list[list], int, dict[str, int]]:
+        return decode_chunk(self._ask_all(("run", chunk, frozen)), chunk, self.names)
+
+    def gather(self) -> np.ndarray:
+        """Assemble the replica-major ``(B, n)`` matrix from worker slabs."""
+        slabs = [rep[0] for rep in self._ask_all(("gather",))]
+        return assemble_slabs(slabs, self.owned, self.B, self.n)
+
+    def close(self) -> None:
+        for c in self.conns:
+            try:
+                c.send(("stop",))
+            except TransportError:  # pragma: no cover - block already gone
+                pass
+        self._reap()
+        for c in self.conns:
+            c.close()
+
+    def _reap(self) -> None:
+        pass
+
+    def control_traffic(self) -> dict[str, dict[str, int]]:
+        """Per-block control-link byte counters (coordinator side)."""
+        return {name: c.traffic() for name, c in zip(self.names, self.conns)}
+
+
+class _LocalProcessExecutor(_ChannelBlockExecutor):
     """``P`` forked per-block processes linked by transport channels.
 
-    The local implementation of the block-executor seam (``run_chunk`` /
-    ``gather`` / ``close``) that :meth:`PartitionedSimulator.run_with_executor`
-    drives — the remote implementation lives in
-    :mod:`repro.distributed.dispatcher`.  Each worker process runs
+    Each worker process runs
     :func:`repro.distributed.worker.run_block_loop` with a control
     channel back to the coordinator and a full mesh of peer channels for
     the halo exchange, all built by
@@ -532,14 +666,10 @@ class _LocalProcessExecutor:
 
     def __init__(self, sim: "PartitionedSimulator", L: np.ndarray, B: int,
                  assignment: np.ndarray):
-        self.B = B
-        self.n = L.shape[0]
-        P = int(assignment.max()) + 1
-        self.owned = [np.flatnonzero(assignment == p) for p in range(P)]
-        want_disc = sim._record_disc()
-        want_mov = sim.record == "full"
-        self._telemetry = get_recorder().enabled
+        from repro.distributed.worker import run_block_loop
 
+        super().__init__(L, B, assignment)
+        P = self.P
         # Pre-build the partition and every block's operator slices in
         # the parent: under the fork start method the workers inherit the
         # warmed caches copy-on-write instead of each rebuilding them
@@ -562,6 +692,7 @@ class _LocalProcessExecutor:
         forked = ctx.get_start_method() == "fork"
         all_ends = [end for pair in ctrl for end in pair]
         all_ends += [end for pair in mesh.values() for end in pair]
+        jobs = block_jobs(sim, L, assignment, self.owned)
         self.procs = []
         worker_ends: list[list] = []
         for p in range(P):
@@ -571,25 +702,6 @@ class _LocalProcessExecutor:
                     continue
                 a, b = min(p, q), max(p, q)
                 peers[q] = mesh[(a, b)][0 if p == a else 1]
-            payload = (
-                sim.balancer,
-                assignment,
-                sim.strategy,
-                p,
-                L[self.owned[p]],
-                sim.backend,
-                want_disc,
-                want_mov,
-                sim.overlap,
-                sim.delta_frames,
-                # Explicit start round (protocol 4): local runs always
-                # begin at 0; the remote dispatcher ships checkpoint
-                # rounds here so replayed blocks continue the counter.
-                0,
-                # Telemetry flag (optional 12th field): workers record
-                # per-phase spans and ship them back in the chunk reply.
-                self._telemetry,
-            )
             mine = [ctrl[p][1], *peers.values()]
             worker_ends.append(mine)
             # Forked workers inherit every endpoint; handing each the
@@ -605,7 +717,7 @@ class _LocalProcessExecutor:
             self.procs.append(
                 ctx.Process(
                     target=run_block_loop,
-                    args=(ctrl[p][1], peers, payload),
+                    args=(ctrl[p][1], peers, jobs[p]),
                     kwargs={"inherited": inherited},
                     daemon=True,
                 )
@@ -617,59 +729,14 @@ class _LocalProcessExecutor:
             for end in mine:
                 end.detach()
         self.conns = [c for c, _ in ctrl]
+        self.names = [f"local:{p}" for p in range(P)]
         self._mesh = mesh
 
-    def _ask_all(self, msg) -> list:
-        for c in self.conns:
-            c.send(msg)
-        replies = []
-        for p, c in enumerate(self.conns):
-            try:
-                rep = c.recv()
-            except TransportError as exc:
-                raise RuntimeError(f"partition worker {p} died: {exc}") from exc
-            if rep[0] == "error":
-                raise RuntimeError(f"partition worker failed: {rep[1]}")
-            replies.append(rep)
-        return replies
-
-    # -- executor interface -------------------------------------------
-    def run_chunk(self, chunk: int, frozen) -> tuple[list[list], int, dict[str, int]]:
-        replies = self._ask_all(("run", chunk, frozen))
-        per_round = [[rep[1][i] for rep in replies] for i in range(chunk)]
-        halo_values = sum(rep[2] for rep in replies)
-        link_bytes = {
-            f"{p}->{q}": nbytes
-            for p, rep in enumerate(replies)
-            for q, nbytes in rep[3].items()
-        }
-        if self._telemetry:
-            rec = get_recorder()
-            for p, rep in enumerate(replies):
-                if len(rep) > 4 and rep[4]:
-                    rec.ingest(rep[4], worker=f"local:{p}")
-        return per_round, halo_values, link_bytes
-
-    def gather(self) -> np.ndarray:
-        """Assemble the replica-major ``(B, n)`` matrix from worker slabs."""
-        replies = self._ask_all(("gather",))
-        full = np.empty((self.B, self.n), dtype=replies[0][1].dtype)
-        for ids, rep in zip(self.owned, replies):
-            full[:, ids] = rep[1].T
-        return full
-
-    def close(self) -> None:
-        for c in self.conns:
-            try:
-                c.send(("stop",))
-            except TransportError:
-                pass
+    def _reap(self) -> None:
         for proc in self.procs:
             proc.join(timeout=10)
             if proc.is_alive():  # pragma: no cover - defensive
                 proc.terminate()
-        for c in self.conns:
-            c.close()
         for a, b in self._mesh.values():
             a.close()
             b.close()

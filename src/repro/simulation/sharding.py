@@ -49,6 +49,7 @@ import os
 import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Mapping, Sequence
 
@@ -66,6 +67,7 @@ __all__ = [
     "usable_cpus",
     "split_shards",
     "merge_ensemble_traces",
+    "ShardJob",
     "shard_payloads",
     "run_shard_payload",
     "run_sharded_ensemble",
@@ -210,10 +212,31 @@ def merge_ensemble_traces(traces: Sequence[EnsembleTrace]) -> EnsembleTrace:
     return merged
 
 
-def run_shard_payload(payload: tuple) -> EnsembleTrace:
+@dataclass(frozen=True)
+class ShardJob:
+    """One replica shard: its slice of the batch and the engine settings.
+
+    ``loads`` is the shared ``(n,)`` vector or the shard's ``(b, n)``
+    rows, ``rngs`` the shard's per-replica generators (derived by global
+    replica index), and ``whole_batch`` whether this one shard is the
+    entire batch (see :func:`run_shard_payload`).
+    """
+
+    balancer: Balancer
+    loads: np.ndarray
+    rngs: list
+    stopping: list | None
+    record: str
+    keep_snapshots: bool
+    check_conservation: bool
+    cons_tol: float
+    whole_batch: bool
+
+
+def run_shard_payload(job: ShardJob) -> EnsembleTrace:
     """Shard worker: one shard through a fresh ``EnsembleSimulator``.
 
-    The trailing ``whole_batch`` flag selects the engine flavor: a shard
+    The ``whole_batch`` flag selects the engine flavor: a shard
     that is one slice of a split batch runs with ``serial_singleton``
     disabled — a one-replica shard must compute its statistics with the
     same batched formulas as every other shard, or the merged trace's
@@ -221,25 +244,24 @@ def run_shard_payload(payload: tuple) -> EnsembleTrace:
     across workers — while a payload covering the *whole* batch keeps
     the engine's default dispatch, reproducing an unsharded run exactly.
     This is the one executable a shard ever runs — the local pool and
-    the remote dispatch workers call it on identical payloads, which is
+    the remote dispatch workers call it on identical jobs, which is
     what makes shard placement irrelevant to the result.
     """
-    (balancer, loads, rngs, stopping, record, keep_snapshots,
-     check_conservation, cons_tol, whole_batch) = payload
     ens = EnsembleSimulator(
-        balancer,
-        stopping=stopping,
-        record=record,
-        keep_snapshots=keep_snapshots,
-        check_conservation=check_conservation,
-        cons_tol=cons_tol,
-        serial_singleton=whole_batch,
+        job.balancer,
+        stopping=job.stopping,
+        record=job.record,
+        keep_snapshots=job.keep_snapshots,
+        check_conservation=job.check_conservation,
+        cons_tol=job.cons_tol,
+        serial_singleton=job.whole_batch,
     )
+    rngs = job.rngs
     rec = get_recorder()
     if not rec.enabled:
-        return ens.run(loads, seed=rngs)
+        return ens.run(job.loads, seed=rngs)
     t0 = perf_counter()
-    trace = ens.run(loads, seed=rngs)
+    trace = ens.run(job.loads, seed=rngs)
     rec.record_span("shard", t0, engine="sharded",
                     replicas=len(rngs) if hasattr(rngs, "__len__") else 1,
                     rounds=trace.rounds)
@@ -258,8 +280,8 @@ def shard_payloads(
     check_conservation: bool = True,
     cons_tol: float = 1e-6,
     backend: str | None = None,
-) -> list[tuple]:
-    """Split an ensemble request into per-shard worker payloads.
+) -> list[ShardJob]:
+    """Split an ensemble request into per-shard :class:`ShardJob` payloads.
 
     Normalizes the seed/replica inputs exactly like
     :meth:`EnsembleSimulator.run`, derives the per-replica RNG streams by
@@ -300,7 +322,7 @@ def shard_payloads(
     for start, stop in shards:
         shard_loads = arr if arr.ndim == 1 else arr[start:stop]
         payloads.append(
-            (
+            ShardJob(
                 balancer,
                 shard_loads,
                 rngs[start:stop],
@@ -309,7 +331,7 @@ def shard_payloads(
                 keep_snapshots,
                 check_conservation,
                 cons_tol,
-                len(shards) == 1,  # whole batch → default engine dispatch
+                whole_batch=len(shards) == 1,  # → default engine dispatch
             )
         )
     return payloads
@@ -375,7 +397,7 @@ def run_sharded_ensemble(
     return merge_ensemble_traces(_run_shards_local(payloads, transport))
 
 
-def _run_shards_local(payloads: list[tuple], transport: str = "mp-pipe") -> list[EnsembleTrace]:
+def _run_shards_local(payloads: list[ShardJob], transport: str = "mp-pipe") -> list[EnsembleTrace]:
     """One worker process per shard, linked by transport channels.
 
     The worker entry point

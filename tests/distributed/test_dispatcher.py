@@ -275,8 +275,9 @@ class TestRendezvous:
             connect_workers(["127.0.0.1:1"], timeout=2.0)
 
     def test_malformed_clients_do_not_kill_the_server(self, workers):
-        """Raw junk bytes, a truncated hello, and a non-dict job spec
-        must each be rejected without taking the server down."""
+        """Raw junk bytes, a truncated hello, a hello without its
+        options dict, and a non-dict job spec must each be rejected
+        without taking the server down."""
         import socket as socketlib
         import struct
 
@@ -291,15 +292,21 @@ class TestRendezvous:
         reply = channel.recv(timeout=10.0)
         assert reply[0] == "error" and "hello" in reply[1]
         channel.close()
-        # 3: a job whose spec is not a dict.
+        # 3: a right-version hello without its options dict.
         channel = tcp_connect(parse_address(workers[0]))
         channel.send(("hello", PROTOCOL_VERSION))
+        reply = channel.recv(timeout=10.0)
+        assert reply[0] == "error" and "opts" in reply[1]
+        channel.close()
+        # 4: a job whose spec is not a dict.
+        channel = tcp_connect(parse_address(workers[0]))
+        channel.send(("hello", PROTOCOL_VERSION, {}))
         assert channel.recv(timeout=10.0)[0] == "ready"
         channel.send(("job", "not-a-spec"))
         reply = channel.recv(timeout=10.0)
         assert reply[0] == "error"
         channel.close()
-        # The server survived all three: a real dispatch still works.
+        # The server survived all four: a real dispatch still works.
         topo = torus_2d(4, 4)
         _, stats = dispatch_partitioned(
             DiffusionBalancer(topo, mode="discrete"), _loads(topo, discrete=True),

@@ -1,6 +1,6 @@
 """End-to-end telemetry over tcp: traced dispatch stays bit-for-bit,
 the merged trace validates against the schema, and the opt-in stats
-frames never confuse a peer (protocol-4 compatibility)."""
+frames reach only the dispatchers that asked for them."""
 
 import time
 
@@ -147,7 +147,7 @@ class TestStatsFrameProtocol:
                 <= live["hb_interval_max_s"])
 
     def test_worker_streams_stats_only_when_asked(self, workers):
-        """Protocol compat: a peer that didn't request stats never sees
+        """Opt-in: a dispatcher that didn't request stats never sees
         a stats frame; one that did gets monotonically-sequenced
         snapshots without corrupting job replies."""
         plain = connect_workers([workers[0]], timeout=10.0)

@@ -94,23 +94,44 @@ class TestBitForBitInvariance:
         for a, b in zip(plain, traced):
             assert np.array_equal(a, b)
 
-    def _run_partitioned(self, topo):
+    def _run_partitioned(self, topo, mode, transport, split):
         sim = PartitionedSimulator(
             DiffusionBalancer(topo), partitions=4, strategy="bfs",
-            stopping=[MaxRounds(ROUNDS)], keep_snapshots=True)
+            stopping=[MaxRounds(ROUNDS)], keep_snapshots=True, mode=mode,
+            transport=transport, overlap=split, delta_frames=split)
         trace = sim.run(_loads(topo))
         return [np.asarray(s).copy() for s in trace.snapshots]
 
-    def test_partitioned_inprocess(self, tmp_path):
+    @pytest.mark.parametrize("mode, transport, split", [
+        ("inprocess", "mp-pipe", False),
+        ("process", "mp-pipe", False),
+        ("process", "mp-pipe", True),
+        ("process", "tcp", False),
+        ("process", "tcp", True),
+    ], ids=["inprocess", "mp-pipe-sync", "mp-pipe-overlap-delta", "tcp-sync",
+            "tcp-overlap-delta"])
+    def test_partitioned_inprocess(self, tmp_path, mode, transport, split):
+        """Traced and untraced partitioned runs agree snapshot for
+        snapshot; process-mode blocks trace every phase of their round
+        (``split`` runs the overlap schedule with delta frames)."""
         topo = torus_2d(6, 6)
-        plain = self._run_partitioned(topo)
+        plain = self._run_partitioned(topo, mode, transport, split)
         set_recorder(Recorder(enabled=True, path=str(tmp_path / "t.jsonl")))
-        traced = self._run_partitioned(topo)
+        traced = self._run_partitioned(topo, mode, transport, split)
         rec = get_recorder()
         set_recorder(None)
         assert rec.n_events > 0  # tracing actually happened
+        assert len(plain) == len(traced) == ROUNDS + 1
         for a, b in zip(plain, traced):
             assert np.array_equal(a, b)
+        if mode == "process":
+            phases = {"halo_send", "halo_wait", "interior"} | ({"boundary"} if split else set())
+            seen: dict[str, set] = {}
+            for ev in rec.drain_events():
+                if ev.get("ev") == "span" and "block" in ev:
+                    seen.setdefault(ev["name"], set()).add(ev["block"])
+            for name in phases:
+                assert seen.get(name) == {0, 1, 2, 3}, (name, seen)
 
     def test_ensemble(self, tmp_path):
         topo = torus_2d(5, 5)
