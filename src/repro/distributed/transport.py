@@ -190,8 +190,10 @@ __all__ = [
 #: block and shard payload tuples with the named ``BlockJob`` and
 #: ``ShardJob`` (job-spec key ``"jobs"``), made every block chunk reply
 #: ``("stats", rows, halo_values, bytes_by_peer, events)``, and requires
-#: the hello to carry its options dict.
-PROTOCOL_VERSION = 5
+#: the hello to carry its options dict; version 6 dropped the
+#: ``ShardJob.whole_batch`` field (every shard runs the engine's default
+#: dispatch, whose ``B = 1`` statistics equal the batched row).
+PROTOCOL_VERSION = 6
 
 #: Channel backends that are always available (the core ``transport=``
 #: choices).  ``mpi`` joins via :func:`available_transports` when

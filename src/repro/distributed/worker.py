@@ -62,8 +62,9 @@ from repro.distributed.transport import (
     tcp_connect,
     verify_link,
 )
-from repro.simulation.partitioned import BlockJob, _PartitionMemo, _partial_stats, block_local
+from repro.simulation.partitioned import BlockJob, _PartitionMemo, block_local
 from repro.simulation.sharding import run_shard_payload
+from repro.simulation.trace import round_stats
 
 __all__ = [
     "run_block_loop",
@@ -254,7 +255,7 @@ class _SlabRunner:
                 rec.record_span("interior", t0, round=r, rows=int(local.n_owned))
         if frozen is not None and frozen.any():
             out[:, frozen] = owned[:, frozen]
-        stats = _partial_stats(out, owned, want_disc, want_mov)
+        stats = round_stats(out, owned, want_disc, want_mov)
         self._cur, self._nxt = nxt, cur
         return stats
 

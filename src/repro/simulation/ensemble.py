@@ -26,13 +26,13 @@ Semantics are exactly ``B`` independent :class:`Simulator` runs:
   of this engine; it survives as the universal fallback for balancers
   without a batched kernel.
 
-Recorded statistics are computed once per round across the whole batch.
+Recorded statistics are computed once per round across the whole batch,
+by the same :func:`~repro.simulation.trace.round_stats` the serial
+:class:`Trace` uses (its docstring states their precision).
 ``record="auto"`` keeps the throughput-critical minimum (potentials and
 load sums, plus discrepancies when a discrepancy rule is installed);
 ``record="full"`` adds discrepancies and per-round net movement, matching
-everything a serial :class:`Trace` records.  Derived statistics may
-differ from the serial ones in the last float ulp (different summation
-order); recorded *loads* never do.
+everything a serial :class:`Trace` records.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.observability.recorder import get_recorder
 from repro.simulation.engine import Simulator
 from repro.simulation.montecarlo import trial_rngs
 from repro.simulation.stopping import DiscrepancyBelow, MaxRounds, StoppingRule
-from repro.simulation.trace import Trace
+from repro.simulation.trace import Trace, combine_stats, round_stats
 
 __all__ = ["EnsembleSimulator", "EnsembleTrace", "initial_batch", "spawn_rngs"]
 
@@ -113,43 +113,17 @@ class EnsembleTrace:
         self._movements: list[np.ndarray] = []
         self._snapshots: list[np.ndarray] = []
         self._final_loads: np.ndarray | None = None
-        self._ones: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Recording (node-major (n, B) matrices)
     # ------------------------------------------------------------------
-    def _stats_row(self, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Phi via the shifted-square identity sum(l^2) - n*mean^2: two
-        # streaming passes, no (n, B) temporary.  Clamped at 0 because the
-        # cancellation can land a hair below; accuracy is ~eps * sum(l^2)
-        # absolute, ample for stopping thresholds and reports (the serial
-        # Trace's centered formula differs only at that level).
-        if np.issubdtype(loads.dtype, np.integer):
-            sums = loads.sum(axis=0)  # exact integer totals
-        else:
-            ones = self._ones
-            if ones is None or ones.shape[0] != loads.shape[0]:
-                ones = self._ones = np.ones(loads.shape[0])
-            sums = ones @ loads  # BLAS row-sum, ~3x faster than .sum(axis=0)
-        ss = np.einsum("ij,ij->j", loads, loads, dtype=np.float64)
-        phis = np.maximum(ss - sums * (sums / loads.shape[0]), 0.0)
-        return phis, sums
-
     def record(self, loads: np.ndarray, prev: np.ndarray | None = None) -> None:
         """Append one state row (initial state first, then once per round)."""
-        phis, sums = self._stats_row(loads)
-        self._potentials.append(phis)
-        self._sums.append(sums.astype(np.float64))
-        if self.record_discrepancies:
-            self._discrepancies.append((loads.max(axis=0) - loads.min(axis=0)).astype(np.float64))
-        if self.record_movements and prev is not None:
-            delta = np.abs(loads - prev)
-            self._movements.append(0.5 * delta.sum(axis=0).astype(np.float64))
-        if self.keep_snapshots:
-            # .copy(), not ascontiguousarray: for B=1 the transpose is
-            # already contiguous and would alias the engine's recycled
-            # ping-pong buffer, silently rewriting history.
-            self._snapshots.append(loads.T.copy())
+        want_mov = self.record_movements and prev is not None
+        partial = round_stats(loads, prev, self.record_discrepancies, want_mov)
+        phis, sums, disc, mov = combine_stats([partial], loads.shape[0])
+        self.record_stats(phis, sums, disc, mov,
+                          snapshot=loads.T if self.keep_snapshots else None)
 
     def record_stats(
         self,
@@ -159,26 +133,28 @@ class EnsembleTrace:
         movements: np.ndarray | None = None,
         snapshot: np.ndarray | None = None,
     ) -> None:
-        """Append one state row from *precomputed* per-replica statistics.
+        """Append one state row from a :func:`combine_stats` row.
 
-        The partitioned process runtime computes each statistic from
-        per-block partials (the full ``(n, B)`` matrix never exists in
-        one process); this records the combined row directly.  The
-        movements row is skipped for the initial state exactly as
-        :meth:`record` skips it when ``prev`` is None.
+        :meth:`record` combines one partial of the whole matrix; the
+        partitioned process runtime combines per-block partials (the
+        full ``(n, B)`` matrix never exists in one process).  ``movements``
+        is None for the initial state.
         """
-        self._potentials.append(np.asarray(phis, dtype=np.float64))
-        self._sums.append(np.asarray(sums, dtype=np.float64))
+        self._potentials.append(phis)
+        self._sums.append(sums)
         if self.record_discrepancies:
             if discrepancies is None:
                 raise ValueError("this trace records discrepancies; none supplied")
-            self._discrepancies.append(np.asarray(discrepancies, dtype=np.float64))
+            self._discrepancies.append(discrepancies)
         if self.record_movements and movements is not None:
-            self._movements.append(np.asarray(movements, dtype=np.float64))
+            self._movements.append(movements)
         if self.keep_snapshots:
             if snapshot is None:
                 raise ValueError("this trace keeps snapshots; none supplied")
-            self._snapshots.append(np.array(snapshot, copy=True))
+            # A C-order copy: for B=1 the transposed engine buffer is
+            # contiguous and would alias the engine's recycled ping-pong
+            # buffer, silently rewriting history.
+            self._snapshots.append(np.array(snapshot, order="C"))
 
     def advance(self, active: np.ndarray) -> None:
         """Credit one completed round to every still-active replica."""
@@ -363,11 +339,9 @@ class EnsembleSimulator:
         A one-replica "batch" pays the batched engine's bookkeeping with
         nothing to amortize it over — measurably slower than the serial
         loop — and the serial engine works for *every* balancer, batched
-        or not.  Load trajectories are identical either way; derived
-        statistics (potentials, sums) may differ in the last float ulp
-        because the serial trace computes them with the centered formula.
-        Set ``False`` to force the batched kernels even for one replica
-        (the bit-for-bit property tests do).
+        or not.  Load trajectories and statistics are identical either
+        way.  Set ``False`` to force the batched kernels even for one
+        replica (the bit-for-bit property tests do).
     backend:
         Kernel backend for the balancer's operator kernels (None keeps
         the balancer's own setting).  Backends are bit-for-bit
@@ -537,9 +511,8 @@ class EnsembleSimulator:
             trace._movements = [np.asarray([mv]) for mv in t._movements]
         if self.keep_snapshots:
             trace._snapshots = [np.asarray(s, dtype=self.balancer.dtype)[None, :] for s in t._snapshots]
-        # Trace records sums/last-loads as float64; discrete values below
-        # 2**53 round-trip exactly, so the cast back is lossless.
-        trace._final_loads = np.asarray(t._last_loads, dtype=self.balancer.dtype)[None, :]
+        # A copy: the serial trace shares its last state with its snapshots.
+        trace._final_loads = np.array(t._last_loads, dtype=self.balancer.dtype)[None, :]
         return trace
 
     def _apply_stopping(self, trace: EnsembleTrace, active: np.ndarray) -> None:

@@ -39,8 +39,8 @@ Seeds are derived from a root seed via ``SeedSequence.spawn`` so that
 
 - trials are statistically independent,
 - results are identical whichever backend runs them (per-trial load
-  trajectories are bit-for-bit reproduced; derived statistics may differ
-  in the last float ulp from summation order), and
+  trajectories are bit-for-bit reproduced; engine statistics follow
+  :func:`repro.simulation.trace.round_stats`), and
 - any single trial can be reproduced in isolation from its index.
 
 The trial function must be a module-level callable (picklable) taking a

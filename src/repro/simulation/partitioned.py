@@ -47,15 +47,14 @@ Execution modes
     the same wire the multi-host dispatcher uses; deadlock-free pairwise
     protocol: the lower-id block of each pair sends first).  Workers
     hold an ``(n_block, B)`` slab — the node axis composes with the
-    replica axis — and return per-round statistic *partials* (sums,
-    squared sums, extrema, movement) that the coordinator combines, so
-    the full matrix never exists in one process between gathers.  When
-    the stopping rules are pure round caps the coordinator grants the
-    whole remaining budget in one command and workers free-run with
-    peer-only communication.  Load trajectories are bit-for-bit equal to
-    the global engines; *derived* statistics may differ in the last
-    float ulp (block-partial summation order), the same caveat the
-    replica-sharded path documents.
+    replica axis — and return per-round statistic *partials*
+    (:func:`~repro.simulation.trace.round_stats`) that the coordinator
+    combines, so the full matrix never exists in one process between
+    gathers.  When the stopping rules are pure round caps the
+    coordinator grants the whole remaining budget in one command and
+    workers free-run with peer-only communication.  Load trajectories
+    are bit-for-bit equal to the global engines, and so are the
+    statistics wherever ``round_stats`` states them exact.
 
 The coordinator half of process mode is factored behind a small *block
 executor* seam (``run_chunk`` / ``gather`` / ``close``):
@@ -97,6 +96,7 @@ from repro.simulation.ensemble import (
     initial_batch,
 )
 from repro.simulation.stopping import DiscrepancyBelow, MaxRounds, StoppingRule
+from repro.simulation.trace import combine_stats as _combine_stats
 
 __all__ = ["BlockJob", "BlockLocal", "PartitionedSimulator", "block_local"]
 
@@ -481,39 +481,6 @@ class _PartitionMemo:
             self._memo.clear()
         self._memo[id(topo)] = (topo, part)
         return part
-
-
-# ----------------------------------------------------------------------
-# Worker-side statistics partials
-# ----------------------------------------------------------------------
-def _partial_stats(
-    new: np.ndarray, prev: np.ndarray, want_disc: bool, want_mov: bool
-) -> tuple:
-    """One block's per-replica contributions to the round's statistics."""
-    if np.issubdtype(new.dtype, np.integer):
-        sums = np.einsum("ij->j", new)  # exact int64, faster than sum(axis=0)
-    else:
-        sums = np.ones(new.shape[0]) @ new
-    ss = np.einsum("ij,ij->j", new, new, dtype=np.float64)
-    disc = (new.max(axis=0), new.min(axis=0)) if want_disc else None
-    mov = 0.5 * np.abs(new - prev).sum(axis=0).astype(np.float64) if want_mov else None
-    return sums, ss, disc, mov
-
-
-def _combine_stats(partials: list[tuple], n: int) -> tuple:
-    """Combine per-block partials into one global statistics row."""
-    sums = np.sum([p[0] for p in partials], axis=0).astype(np.float64)
-    ss = np.sum([p[1] for p in partials], axis=0)
-    phis = np.maximum(ss - sums * (sums / n), 0.0)
-    disc = None
-    if partials[0][2] is not None:
-        hi = np.max([p[2][0] for p in partials], axis=0)
-        lo = np.min([p[2][1] for p in partials], axis=0)
-        disc = (hi - lo).astype(np.float64)
-    mov = None
-    if partials[0][3] is not None:
-        mov = np.sum([p[3] for p in partials], axis=0)
-    return phis, sums, disc, mov
 
 
 # ----------------------------------------------------------------------

@@ -18,17 +18,16 @@ Replica ``b`` consumes the RNG stream
 lands in — the same derivation the serial Monte-Carlo loop, the
 single-process ensemble, and the pool workers use.  Per-replica **load
 trajectories are bit-for-bit identical** across the serial, vectorized
-and sharded paths (the property tests assert this).  Derived statistics
-(potentials, sums) may differ from the other paths in the last float ulp
-because vectorized reductions over an ``(n, B)`` block depend on the
-block's width; stopping decisions compare those statistics against
-thresholds, so they agree except on measure-zero ties.
+and sharded paths (the property tests assert this), and so are the
+statistics wherever :func:`~repro.simulation.trace.round_stats` states
+them exact; continuous statistics depend on the shard's width in the
+last bits, so stopping decisions agree except on measure-zero ties.
 
 Shard merging pads each shard's row records up to the longest shard's
 round count by repeating the frozen rows — exactly what a single
 ensemble run records for replicas that stopped early — so the merged
 trace is indistinguishable from a single-process run of the full batch
-(modulo the ulp caveat above).
+(modulo the width caveat above).
 
 Shards execute over the :mod:`repro.distributed.transport` seam: each
 worker process receives its payload (balancer, stopping rules,
@@ -218,8 +217,7 @@ class ShardJob:
 
     ``loads`` is the shared ``(n,)`` vector or the shard's ``(b, n)``
     rows, ``rngs`` the shard's per-replica generators (derived by global
-    replica index), and ``whole_batch`` whether this one shard is the
-    entire batch (see :func:`run_shard_payload`).
+    replica index).
     """
 
     balancer: Balancer
@@ -230,22 +228,16 @@ class ShardJob:
     keep_snapshots: bool
     check_conservation: bool
     cons_tol: float
-    whole_batch: bool
 
 
 def run_shard_payload(job: ShardJob) -> EnsembleTrace:
     """Shard worker: one shard through a fresh ``EnsembleSimulator``.
 
-    The ``whole_batch`` flag selects the engine flavor: a shard
-    that is one slice of a split batch runs with ``serial_singleton``
-    disabled — a one-replica shard must compute its statistics with the
-    same batched formulas as every other shard, or the merged trace's
-    stopping decisions would depend on how the batch happened to split
-    across workers — while a payload covering the *whole* batch keeps
-    the engine's default dispatch, reproducing an unsharded run exactly.
-    This is the one executable a shard ever runs — the local pool and
-    the remote dispatch workers call it on identical jobs, which is
-    what makes shard placement irrelevant to the result.
+    A one-replica shard runs on the serial engine, whose statistics are
+    the batched ``B = 1`` row.  This is the one executable a shard ever
+    runs — the local pool and the remote dispatch workers call it on
+    identical jobs, which is what makes shard placement irrelevant to
+    the result.
     """
     ens = EnsembleSimulator(
         job.balancer,
@@ -254,7 +246,6 @@ def run_shard_payload(job: ShardJob) -> EnsembleTrace:
         keep_snapshots=job.keep_snapshots,
         check_conservation=job.check_conservation,
         cons_tol=job.cons_tol,
-        serial_singleton=job.whole_batch,
     )
     rngs = job.rngs
     rec = get_recorder()
@@ -331,7 +322,6 @@ def shard_payloads(
                 keep_snapshots,
                 check_conservation,
                 cons_tol,
-                whole_batch=len(shards) == 1,  # → default engine dispatch
             )
         )
     return payloads
@@ -389,10 +379,9 @@ def run_sharded_ensemble(
         backend=backend,
     )
     if len(payloads) == 1:
-        # The whole batch in-process: the payload's whole_batch flag
-        # keeps the engine's default dispatch, so this is exactly an
-        # unsharded EnsembleSimulator run — and exactly what a remote
-        # worker runs when a dispatch hands it the entire batch.
+        # The whole batch in-process: exactly an unsharded
+        # EnsembleSimulator run, and exactly what a remote worker runs
+        # when a dispatch hands it the entire batch.
         return run_shard_payload(payloads[0])
     return merge_ensemble_traces(_run_shards_local(payloads, transport))
 

@@ -318,8 +318,8 @@ class TestProcessMode:
             assert np.array_equal(ens.snapshots[t], trace.snapshots[t]), f"round {t}"
 
     def test_process_conservation_and_stats_close(self):
-        """Process-mode derived statistics combine block partials: equal to
-        the ulp, with exact integer sums for discrete runs."""
+        """Process-mode statistics combine exact integer block partials,
+        so discrete potentials and sums equal the ensemble engine's."""
         topo = torus_2d(6, 6)
         loads = _loads(topo, discrete=True)
         ens = EnsembleSimulator(
@@ -331,10 +331,8 @@ class TestProcessMode:
             stopping=[MaxRounds(20)], mode="process",
         )
         trace = psim.run(loads.copy())
-        assert np.array_equal(trace.load_sums_matrix, ens.load_sums_matrix)  # exact ints
-        np.testing.assert_allclose(
-            trace.potentials_matrix, ens.potentials_matrix, rtol=1e-12
-        )
+        assert np.array_equal(trace.load_sums_matrix, ens.load_sums_matrix)
+        assert np.array_equal(trace.potentials_matrix, ens.potentials_matrix)
 
 
 class TestBlockLocal:

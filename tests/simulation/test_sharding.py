@@ -221,29 +221,28 @@ class TestShardedEnsembleEquivalence:
         )
         assert np.array_equal(single.final_loads, trace.final_loads)
 
-    def test_singleton_shards_use_batched_statistics(self, topo, monkeypatch):
-        """A 1-replica shard must not dispatch to the serial engine: its
-        statistics would switch to the centered potential formula and
-        stopping decisions would depend on how the batch split across
-        workers (regression)."""
+    def test_singleton_shards_use_batched_statistics(self, topo):
+        """A 1-replica shard runs on the serial engine, whose statistics
+        are the batched B=1 row bit for bit, so stopping decisions do not
+        depend on which engine a shard landed on."""
         from repro.simulation import sharding
-        from repro.simulation.ensemble import EnsembleSimulator
 
-        def boom(self, loads, rng):  # pragma: no cover - failure path
-            raise AssertionError("singleton shard dispatched to the serial engine")
-
-        monkeypatch.setattr(EnsembleSimulator, "_run_singleton", boom)
+        loads = point_load(topo.n, discrete=False)
         job = sharding.ShardJob(
-            balancer=DiffusionBalancer(topo),
-            loads=point_load(topo.n, discrete=False),
-            rngs=spawn_rngs(0, 1),
-            stopping=[MaxRounds(3)],
-            record="auto", keep_snapshots=False, check_conservation=True,
-            cons_tol=1e-6,
-            whole_batch=False,  # one slice of a split batch, not the whole batch
+            balancer=DiffusionBalancer(topo), loads=loads, rngs=spawn_rngs(0, 1),
+            stopping=[MaxRounds(3)], record="full", keep_snapshots=False,
+            check_conservation=True, cons_tol=1e-6,
         )
         trace = sharding.run_shard_payload(job)  # in-process, same code the pool runs
+        batched = EnsembleSimulator(
+            DiffusionBalancer(topo), stopping=[MaxRounds(3)], record="full",
+            serial_singleton=False,
+        ).run(loads, seed=spawn_rngs(0, 1))
         assert trace.replicas == 1 and trace.rounds == 3
+        assert np.array_equal(trace.potentials_matrix, batched.potentials_matrix)
+        assert np.array_equal(trace.load_sums_matrix, batched.load_sums_matrix)
+        assert np.array_equal(trace.discrepancies_matrix, batched.discrepancies_matrix)
+        assert np.array_equal(trace.movements_matrix, batched.movements_matrix)
 
     def test_singleton_shards_formula_consistent_under_cancellation(self, topo):
         """The reviewer's adversarial case: loads ~1e8 with ~1e-2 spread make
